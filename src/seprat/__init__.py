@@ -9,9 +9,7 @@ search for an ordering witness of separable rationalizability.
 __version__ = "0.1.0"
 
 from .numerics import (  # noqa: F401
-    Dominance,
     DimensionMismatch,
-    Rational,
     RationalFormatError,
     dominates,
     dot,
@@ -34,7 +32,6 @@ from .satcore import (  # noqa: F401
     SatInstance,
     SatResult,
     Solver,
-    add_clause_incremental,
     solve,
 )
 from .reduction import (  # noqa: F401
@@ -57,7 +54,6 @@ from .rpcore import (  # noqa: F401
     GridPoint,
     RevealedGraph,
     build_grid,
-    find_cycle,
     garp_check,
     revealed_relation,
     to_dot,

@@ -87,11 +87,14 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def cmd_sat(args) -> int:
-    formula = _load_formula(args.cnf)
+def _solve(formula: cnf.CnfFormula, budget: int | None) -> satcore.SatResult:
     inst = satcore.SatInstance(
         formula.var_count, [list(c.to_ints()) for c in formula.clauses])
-    result = satcore.solve(inst, args.budget)
+    return satcore.solve(inst, budget)
+
+
+def cmd_sat(args) -> int:
+    result = _solve(_load_formula(args.cnf), args.budget)
     doc = {"status": result.status}
     if result.model is not None:
         doc["model"] = {str(v + 1): bool(val)
@@ -104,13 +107,7 @@ def cmd_sat(args) -> int:
 
 def cmd_verify(args) -> int:
     formula = _load_formula(args.cnf)
-    if formula.var_count <= cnf.BRUTE_FORCE_VAR_LIMIT:
-        model = cnf.brute_force_sat(formula)
-        satisfiable = model is not None
-    else:
-        inst = satcore.SatInstance(
-            formula.var_count, [list(c.to_ints()) for c in formula.clauses])
-        satisfiable = satcore.solve(inst, args.budget).status == "sat"
+    satisfiable = _solve(formula, args.budget).status == "sat"
     ds = reduction.reduce_formula(formula, args.offset_mode)
     verdict = septest.decide(ds, tie_mode=args.tie_mode,
                              grid_mode=args.grid_mode, method=args.method,
@@ -148,7 +145,7 @@ def cmd_bench(args) -> int:
                 compact = ";".join(
                     ",".join(str(l) for l in c.to_ints())
                     for c in formula.clauses)
-                sat = cnf.brute_force_sat(formula) is not None
+                sat = _solve(formula, args.budget).status == "sat"
                 t0 = time.perf_counter()
                 ds = reduction.reduce_formula(formula, args.offset_mode)
                 t1 = time.perf_counter()

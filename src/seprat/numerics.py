@@ -1,4 +1,4 @@
-"""Exact rational scalars and small fixed-dimension vector helpers.
+"""Exact rational scalars, inner products and componentwise dominance.
 
 Every quantity in this package is a `fractions.Fraction`; nothing in the
 core ever touches floating point, so strict inequalities are decided
@@ -8,12 +8,8 @@ exactly.  Vectors are plain tuples of Fractions.
 from __future__ import annotations
 
 import re
-from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Sequence
-
-Rational = Fraction
-RVector = tuple  # tuple of Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
@@ -65,44 +61,8 @@ def dot(p: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
     return total
 
 
-class Dominance(Enum):
-    STRICTLY_GREATER = "strictly-greater"
-    EQUAL = "equal"
-    INCOMPARABLE_OR_LESS = "incomparable-or-less"
-
-
-def dominates(x: Sequence[Fraction], y: Sequence[Fraction]) -> Dominance:
-    """Compare componentwise in the usual product order.
-
-    STRICTLY_GREATER means x >= y in every coordinate and x != y.
-    """
+def dominates(x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
+    """True when x >= y in every coordinate and x != y (product order)."""
     _check_dims(x, y)
-    if all(a == b for a, b in zip(x, y)):
-        return Dominance.EQUAL
-    if all(a >= b for a, b in zip(x, y)):
-        return Dominance.STRICTLY_GREATER
-    return Dominance.INCOMPARABLE_OR_LESS
-
-
-def vec_add(x: Sequence[Fraction], y: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    _check_dims(x, y)
-    return tuple(a + b for a, b in zip(x, y))
-
-
-def vec_scale(c, x: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
-
-
-def embed(x: Sequence[Fraction], dim: int) -> tuple[Fraction, ...]:
-    """Pad with zeros so that x occupies the leading coordinates of R^dim."""
-    if len(x) > dim:
-        raise DimensionMismatch(f"cannot embed dimension {len(x)} into {dim}")
-    return tuple(x) + (Fraction(0),) * (dim - len(x))
-
-
-def unit(dim: int, index: int) -> tuple[Fraction, ...]:
-    """Unit vector with a one in the 1-based coordinate `index`."""
-    if not 1 <= index <= dim:
-        raise DimensionMismatch(f"unit index {index} outside 1..{dim}")
-    return tuple(Fraction(1 if i == index else 0) for i in range(1, dim + 1))
+    return all(a >= b for a, b in zip(x, y)) \
+        and any(a != b for a, b in zip(x, y))

@@ -2,9 +2,9 @@
 
 The grid collects the z- and o-projections of all bundles in a dataset
 (observations and evaluation points alike) and, per level, forms their
-product; a "level" is the clause index recorded by the compiler or, for
-foreign datasets, the value of the last o-coordinate.  The full-product
-mode crosses all projections regardless of level.
+product; a "level" is the clause index recorded by the compiler.  The
+full-product mode crosses all projections regardless of level, and data
+without clause levels always gets the full product.
 """
 
 from __future__ import annotations
@@ -47,9 +47,6 @@ class Grid:
     provenance: dict       # point index -> list of source labels
     mode: str = "per-level-union"
 
-    def index_of(self, point: GridPoint) -> int:
-        return self.point_index[point]
-
 
 @dataclass(frozen=True)
 class Edge:
@@ -62,14 +59,6 @@ class Edge:
 class RevealedGraph:
     node_count: int
     edges: list = field(default_factory=list)
-
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.node_count)]
-        for e in self.edges:
-            adj[e.src].append(e.dst)
-        for lst in adj:
-            lst.sort()
-        return adj
 
 
 def _sources(ds: Dataset):
@@ -92,19 +81,11 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
     def split(x):
         return tuple(x[:ds.n_z]), tuple(x[ds.n_z:])
 
-    if mode == "per-level-union":
-        if all(lvl is not None for _, lvl, _ in sources):
-            keyed = [(lvl, split(x), label) for x, lvl, label in sources]
-        elif ds.n_o >= 1:
-            # foreign data: group by the trailing o-coordinate
-            keyed = [(x[-1], split(x), label) for x, lvl, label in sources]
-        else:
-            raise GridError(
-                "dataset has no level structure (no clause metadata and no "
-                "o-goods); use the full-product grid mode")
+    if mode == "per-level-union" \
+            and all(lvl is not None for _, lvl, _ in sources):
         levels: dict = {}
-        for key, zo, label in keyed:
-            levels.setdefault(key, []).append((zo, label))
+        for x, lvl, label in sources:
+            levels.setdefault(lvl, []).append((split(x), label))
         groups = [levels[k] for k in sorted(levels)]
     else:
         groups = [[(split(x), label) for x, _, label in sources]]
@@ -205,11 +186,6 @@ def find_cycle_in_adjacency(adjacency: list) -> list | None:
                 path.pop()
                 color[node] = 2
     return None
-
-
-def find_cycle(graph: RevealedGraph) -> list | None:
-    """Witness cycle of the revealed graph, or None when acyclic."""
-    return find_cycle_in_adjacency(graph.adjacency())
 
 
 def topological_order(adjacency: list) -> list | None:

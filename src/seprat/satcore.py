@@ -53,21 +53,6 @@ class SatResult:
     model: list[bool] | None = None  # model[v-1] is the value of variable v
 
 
-def add_clause_incremental(inst: SatInstance, clause) -> SatInstance:
-    """Pure variant: a new instance with the clause appended."""
-    cl = [int(l) for l in clause]
-    _check_clause(cl, inst.var_count)
-    return SatInstance(inst.var_count, [list(c) for c in inst.clauses] + [cl])
-
-
-def to_dimacs(inst: SatInstance) -> str:
-    """Same dialect the DIMACS parser reads (header plus 0-terminated rows)."""
-    lines = [f"p cnf {inst.var_count} {len(inst.clauses)}"]
-    for cl in inst.clauses:
-        lines.append(" ".join(str(l) for l in cl) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 class Solver:
     """Stateful CDCL solver; clauses may be added between solve() calls.
 

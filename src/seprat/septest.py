@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import Dominance, dominates
+from .numerics import dominates
 from .reduction import Dataset, base_points
 from .rpcore import (Grid, build_grid, find_cycle_in_adjacency,
                      revealed_relation, topological_order)
@@ -94,7 +94,7 @@ class _Arena:
         o_ge = {}
         for a, oa in enumerate(grid.o_parts):
             for b, ob in enumerate(grid.o_parts):
-                if a != b and dominates(oa, ob) is Dominance.STRICTLY_GREATER:
+                if a != b and dominates(oa, ob):
                     o_ge[(a, b)] = True
 
         self.always = list(self.one_edges)
@@ -125,8 +125,7 @@ class _Arena:
         self.z_dom_pairs = []
         for a in range(self.nz):
             for b in range(self.nz):
-                if a != b and dominates(grid.z_parts[a], grid.z_parts[b]) \
-                        is Dominance.STRICTLY_GREATER:
+                if a != b and dominates(grid.z_parts[a], grid.z_parts[b]):
                     self.z_dom_pairs.append((a, b))
         self.always_set = set(self.always)
 
@@ -154,17 +153,6 @@ class _Arena:
         if zs == zd:
             return None
         return (zs, zd)
-
-
-def _witness_from_order(arena: _Arena, perm, method: str,
-                        iterations: int) -> SeparabilityWitness | None:
-    rank = [0] * arena.nz
-    for pos, z in enumerate(perm):
-        rank[z] = pos
-    order = topological_order(arena.adjacency_under(rank))
-    if order is None:
-        return None
-    return SeparabilityWitness(tuple(perm), tuple(order), method, iterations)
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
@@ -221,16 +209,15 @@ def _order_instance(nz: int, var: dict,
 
 def _cegar_search(arena: _Arena, extra_units=(),
                   conflict_limit: int | None = None):
-    """Shared refinement loop; returns (witness_order, iterations) with
-    witness_order None when every admissible order has a cycle."""
+    """Shared refinement loop; returns (u_order, v_order, iterations).
+
+    u_order is the accepted z-part order, best first, and v_order the
+    topological order of the combined relation under it; both are None
+    when every admissible order leaves a cycle.
+    """
     if topological_order(_unconditional_adjacency(arena)) is None:
-        return None, 0
+        return None, None, 0
     nz = arena.nz
-    if nz == 1:
-        rank = [0]
-        if topological_order(arena.adjacency_under(rank)) is not None:
-            return (0,), 0
-        return None, 0
     var = _order_var_map(nz)
     units = list(arena.z_dom_pairs) + list(extra_units)
     solver = satcore.Solver(_order_instance(nz, var, units), conflict_limit)
@@ -238,12 +225,13 @@ def _cegar_search(arena: _Arena, extra_units=(),
     while True:
         result = solver.solve()
         if result.status == "unsat":
-            return None, iterations
+            return None, None, iterations
         rank = _rank_from_model(nz, var, result.model)
         adj = arena.adjacency_under(rank)
-        if topological_order(adj) is not None:
+        order = topological_order(adj)
+        if order is not None:
             perm = sorted(range(nz), key=lambda z: rank[z])
-            return tuple(perm), iterations
+            return tuple(perm), tuple(order), iterations
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
@@ -253,7 +241,7 @@ def _cegar_search(arena: _Arena, extra_units=(),
             if cond is not None and cond not in conditions:
                 conditions.append(cond)
         if not conditions:
-            return None, iterations  # cycle held by unconditional edges only
+            return None, None, iterations  # unconditional edges only
         solver.add_clause([-var[c] for c in conditions])
         iterations += 1
         log.debug("refinement %d: blocked %d order literals",
@@ -283,14 +271,13 @@ def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
                  conflict_limit: int | None = None) -> TestVerdict:
     """Lazy SAT search over u-orders with cycle-driven blocking clauses."""
     arena = _Arena(ds, grid, tie_mode)
-    perm, iterations = _cegar_search(arena, (), conflict_limit)
-    if perm is None:
-        return TestVerdict("not-rationalizable", None,
-                           {"method": "cegar", "iterations": iterations})
-    witness = _witness_from_order(arena, perm, "cegar", iterations)
+    u_order, v_order, iterations = _cegar_search(arena, (), conflict_limit)
+    stats = {"method": "cegar", "iterations": iterations}
+    if u_order is None:
+        return TestVerdict("not-rationalizable", None, stats)
+    witness = SeparabilityWitness(u_order, v_order, "cegar", iterations)
     _assert_valid(ds, grid, witness, tie_mode)
-    return TestVerdict("rationalizable", witness,
-                       {"method": "cegar", "iterations": iterations})
+    return TestVerdict("rationalizable", witness, stats)
 
 
 def decide(ds: Dataset, tie_mode: str = "weak",
@@ -334,7 +321,7 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     for a in range(nz):
         for b in range(nz):
             if a != b and dominates(grid.z_parts[a], grid.z_parts[b]) \
-                    is Dominance.STRICTLY_GREATER and urank[a] > urank[b]:
+                    and urank[a] > urank[b]:
                 return WitnessCheck(
                     False, f"u-order inverts the dominated z-part pair "
                            f"({a}, {b})")
@@ -347,8 +334,8 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                 False, f"v-order puts an affordable point above the chosen "
                        f"bundle of observation {k}")
 
-    o_dom = [[dominates(oa, ob) is Dominance.STRICTLY_GREATER
-              for ob in grid.o_parts] for oa in grid.o_parts]
+    o_dom = [[dominates(oa, ob) for ob in grid.o_parts]
+             for oa in grid.o_parts]
     for i in range(npts):
         zi, oi = grid.pt_z[i], grid.pt_o[i]
         for j in range(npts):
@@ -382,12 +369,9 @@ def truth_assignment_to_witness(f: cnf_mod.CnfFormula, ds: Dataset,
     """Turn a satisfying assignment into an ordering witness.
 
     A true variable ranks its second base bundle above the first, which
-    disarms that variable's link in the clause chain cycle.  The pair
-    constraints plus z-dominance are extended to a total order by a
-    lowest-index topological pass; if that particular extension still
-    leaves a cycle, the refinement search is rerun with the pair
-    constraints pinned, and only if no compatible order exists at all does
-    construction fail.
+    disarms that variable's link in the clause chain cycle.  The
+    refinement search runs with these pairs pinned, and construction fails
+    only if no compatible order exists at all.
     """
     if not cnf_mod.evaluate(f, assignment):
         raise WitnessConstructionError("assignment does not satisfy the formula")
@@ -401,23 +385,13 @@ def truth_assignment_to_witness(f: cnf_mod.CnfFormula, ds: Dataset,
             continue  # variable unused by any clause
         pairs.append((second, first) if assignment[v] else (first, second))
 
-    arena = _Arena(ds, grid, tie_mode)
-    constraints = list(arena.z_dom_pairs) + pairs
-    adj = [[] for _ in range(arena.nz)]
-    for a, b in constraints:
-        adj[a].append(b)
-    extension = topological_order(adj)
-    if extension is not None:
-        witness = _witness_from_order(arena, tuple(extension), "assignment", 0)
-        if witness is not None:
-            _assert_valid(ds, grid, witness, tie_mode)
-            return witness
-    perm, iterations = _cegar_search(arena, pairs)
-    if perm is None:
+    u_order, v_order, iterations = _cegar_search(
+        _Arena(ds, grid, tie_mode), pairs)
+    if u_order is None:
         raise WitnessConstructionError(
             "every order compatible with the assignment leaves a preference "
             "cycle on the grid")
-    witness = _witness_from_order(arena, perm, "assignment", iterations)
+    witness = SeparabilityWitness(u_order, v_order, "assignment", iterations)
     _assert_valid(ds, grid, witness, tie_mode)
     return witness
 

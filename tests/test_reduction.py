@@ -79,15 +79,6 @@ class TestConstants:
                 assert cross + gc.epsilon * mass < gc.M
 
 
-def spiked(price2, M, *spikes):
-    """Price vector in R^8: a 2-dim support price plus M-weights on the
-    bookkeeping goods (independent transcription for the oracle)."""
-    tail = [F(0)] * 6
-    for coord, weight in spikes:
-        tail[coord - 3] = weight
-    return tuple(price2) + tuple(tail)
-
-
 def oracle_tables(clause, bp, gc):
     """Independent transcription of the nine-bundle cost tables."""
     eps, M = gc.epsilon, gc.M

@@ -6,8 +6,8 @@ import pytest
 from seprat import cnf
 from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
-from seprat.rpcore import (GridError, GridPoint, RevealedGraph, build_grid,
-                           find_cycle, find_cycle_in_adjacency, garp_check,
+from seprat.rpcore import (GridError, GridPoint, build_grid,
+                           find_cycle_in_adjacency, garp_check,
                            revealed_relation, to_dot, topological_order)
 
 F = Fraction
@@ -53,23 +53,20 @@ class TestBuildGrid:
         grid = build_grid(ds, "full-product")
         assert len(grid.points) == len(grid.z_parts) * len(grid.o_parts)
 
-    def test_foreign_levels_from_trailing_coordinate(self):
+    def test_foreign_data_gets_the_full_product(self):
+        # without clause levels the default mode crosses every projection,
+        # whatever the trailing o-coordinate, and needs no o-goods at all
         obs = (Observation(x=(F(1), F(1), F(0)), p=(F(1), F(1), F(1))),
                Observation(x=(F(2), F(1), F(0)), p=(F(1), F(2), F(1))),
                Observation(x=(F(1), F(2), F(5)), p=(F(1), F(1), F(1))))
-        ds = Dataset(n_z=1, n_o=2, observations=obs, evaluation_points=())
-        grid = build_grid(ds, "per-level-union")
-        # two levels: {0} with two z-parts, {5} with one
-        assert len(grid.points) == 3
-
-    def test_foreign_without_levels_rejected(self):
-        ds = Dataset(n_z=2, n_o=0,
-                     observations=(Observation(x=(F(1), F(1)),
-                                               p=(F(1), F(1))),),
-                     evaluation_points=())
-        with pytest.raises(GridError, match="full-product"):
-            build_grid(ds, "per-level-union")
-        assert len(build_grid(ds, "full-product").points) == 1
+        no_o = (Observation(x=(F(1), F(1)), p=(F(1), F(1))),)
+        for ds, size in ((Dataset(n_z=1, n_o=2, observations=obs,
+                                  evaluation_points=()), 4),
+                         (Dataset(n_z=2, n_o=0, observations=no_o,
+                                  evaluation_points=()), 1)):
+            grid = build_grid(ds, "per-level-union")
+            assert grid.points == build_grid(ds, "full-product").points
+            assert len(grid.points) == size
 
     def test_unknown_mode(self, single_clause):
         with pytest.raises(GridError):
@@ -129,28 +126,22 @@ class TestRevealedRelation:
 
 class TestCycles:
     def test_path_is_acyclic(self):
-        g = RevealedGraph(3)
-        from seprat.rpcore import Edge
-        g.edges = [Edge(0, 1, ("obs", 0)), Edge(1, 2, ("obs", 1))]
-        assert find_cycle(g) is None
+        assert find_cycle_in_adjacency([[1], [2], []]) is None
 
     def test_two_cycle_found(self):
-        from seprat.rpcore import Edge
-        g = RevealedGraph(2)
-        g.edges = [Edge(0, 1, ("obs", 0)), Edge(1, 0, ("obs", 1))]
-        assert find_cycle(g) == [0, 1]
+        assert find_cycle_in_adjacency([[1], [0]]) == [0, 1]
 
     def test_chain_edges_are_acyclic(self, single_clause):
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
         graph = revealed_relation(ds, grid, "strict")
         slots = bundle_slots(ds, grid)
-        only_chains = RevealedGraph(len(grid.points))
-        only_chains.edges = [
-            e for e in graph.edges
-            if e.src in slots and e.dst in slots
-            and (slots[e.src], slots[e.dst]) in CHAIN_EDGES]
-        assert find_cycle(only_chains) is None
+        adjacency = [[] for _ in grid.points]
+        for e in graph.edges:
+            if e.src in slots and e.dst in slots \
+                    and (slots[e.src], slots[e.dst]) in CHAIN_EDGES:
+                adjacency[e.src].append(e.dst)
+        assert find_cycle_in_adjacency(adjacency) is None
 
     def test_cycle_iff_topological_order_fails(self):
         rng = random.Random(23)

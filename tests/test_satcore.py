@@ -4,7 +4,7 @@ import pytest
 
 from seprat import cnf, satcore
 from seprat.satcore import (BudgetExhausted, InstanceError, SatInstance,
-                            Solver, add_clause_incremental, solve, to_dimacs)
+                            Solver, solve)
 
 
 def check_model(clauses, model):
@@ -78,23 +78,26 @@ class TestSolve:
 class TestIncremental:
     def test_pinning_a_variable_flips_the_verdict(self):
         inst = SatInstance(3, [[3], [1, 2, 3]])
-        assert solve(inst).status == "sat"
-        narrowed = add_clause_incremental(inst, [-3])
-        assert solve(narrowed).status == "unsat"
-        assert len(inst.clauses) == 2  # original untouched
+        solver = Solver(inst)
+        assert solver.solve().status == "sat"
+        solver.add_clause([-3])
+        assert solver.solve().status == "unsat"
+        assert len(inst.clauses) == 2  # the instance itself is untouched
 
     def test_duplicate_clause_keeps_verdict(self):
         inst = SatInstance(2, [[1, 2], [-1, 2]])
-        again = add_clause_incremental(inst, [1, 2])
-        assert solve(again).status == solve(inst).status == "sat"
+        solver = Solver(inst)
+        solver.add_clause([1, 2])
+        assert solver.solve().status == solve(inst).status == "sat"
 
     def test_empty_clause_added(self):
-        inst = SatInstance(2, [[1, 2]])
-        assert solve(add_clause_incremental(inst, [])).status == "unsat"
+        solver = Solver(SatInstance(2, [[1, 2]]))
+        solver.add_clause([])
+        assert solver.solve().status == "unsat"
 
     def test_out_of_range_literal(self):
         with pytest.raises(InstanceError):
-            add_clause_incremental(SatInstance(2, []), [5])
+            Solver(SatInstance(2, [])).add_clause([5])
 
     def test_solver_object_retains_state_between_calls(self):
         solver = Solver(SatInstance(3, [[1, 2, 3]]))
@@ -119,14 +122,3 @@ def test_budget_exhaustion_is_an_error_not_a_verdict():
     with pytest.raises(BudgetExhausted):
         solve(SatInstance(20, clauses), conflict_limit=3)
 
-
-def test_dimacs_export_parses_with_the_cnf_reader():
-    f = cnf.parse_dimacs("p cnf 3 2\n1 2 3 0\n-1 -2 3 0\n")
-    inst = SatInstance(f.var_count, [list(c.to_ints()) for c in f.clauses])
-    assert cnf.parse_dimacs(to_dimacs(inst)) == f
-
-
-def test_dimacs_export_arbitrary_width():
-    text = to_dimacs(SatInstance(3, [[1], [1, -2], [1, 2, 3]]))
-    assert text.splitlines()[0] == "p cnf 3 3"
-    assert text.splitlines()[2] == "1 -2 0"

@@ -101,6 +101,29 @@ class TestDecide:
         assert not verdict.rationalizable
         assert verdict.stats["iterations"] == 0
 
+    def test_single_z_part_accepted_by_both_deciders(self):
+        ds = one_point_dataset()
+        grid = build_grid(ds)
+        vb = decide_bruteforce(ds, grid, "weak")
+        vc = decide_cegar(ds, grid, "weak")
+        assert vb.rationalizable and vc.rationalizable
+        assert vc.witness.u_order == (0,)
+        assert verify_witness(ds, grid, vc.witness, "weak").valid
+
+    def test_single_z_part_choice_cycle_rejected_by_both_deciders(self):
+        # both choices share the one z-part and each strictly overspends
+        # on the other's o-part
+        obs = (Observation(x=(F(1), F(4), F(0)), p=(F(1), F(1), F(1))),
+               Observation(x=(F(1), F(0), F(3)), p=(F(1), F(1, 2), F(1))))
+        ds = Dataset(n_z=1, n_o=2, observations=obs, evaluation_points=())
+        grid = build_grid(ds)
+        assert len(grid.z_parts) == 1
+        for tie in ("strict", "weak"):
+            vb = decide_bruteforce(ds, grid, tie)
+            vc = decide_cegar(ds, grid, tie)
+            assert not vb.rationalizable and not vc.rationalizable
+            assert vc.witness is None
+
     def test_determinism(self, single_clause):
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
@@ -223,7 +246,7 @@ class TestConstructionSemantics:
         for a, b in ((1, 2), (2, 3), (3, 1)):
             upper, lower = zi[bp.z[(a, 2)]], zi[bp.z[(b, 1)]]
             for pin in ((upper, lower), (lower, upper)):
-                perm, _ = _cegar_search(arena, extra_units=[pin])
+                perm, _, _ = _cegar_search(arena, extra_units=[pin])
                 assert perm is not None, (a, b, pin)
                 ranks = {z: pos for pos, z in enumerate(perm)}
                 assert ranks[pin[0]] < ranks[pin[1]]
@@ -352,6 +375,18 @@ def test_grid_modes_agree_on_compiled_datasets():
     for d in divergences:
         print(f"grid-mode divergence: {d}")
     assert len(divergences) <= 8  # informational; union mode stays authoritative
+
+
+def test_default_grid_agrees_with_full_product_on_foreign_data():
+    # data without clause levels has no per-level structure to exploit, so
+    # the default grid must give the full-product verdict
+    rng = random.Random(5)
+    for _ in range(400):
+        ds = random_foreign_dataset(rng)
+        for tie in ("strict", "weak"):
+            default = decide(ds, tie_mode=tie)
+            full = decide(ds, tie_mode=tie, grid_mode="full-product")
+            assert default.status == full.status
 
 
 def test_witness_json_round_trip(single_clause):
