@@ -55,18 +55,24 @@ class TestBuildGrid:
 
     def test_foreign_data_gets_the_full_product(self):
         # without clause levels the default mode crosses every projection,
-        # whatever the trailing o-coordinate, and needs no o-goods at all
+        # whatever the trailing o-coordinate
         obs = (Observation(x=(F(1), F(1), F(0)), p=(F(1), F(1), F(1))),
                Observation(x=(F(2), F(1), F(0)), p=(F(1), F(2), F(1))),
                Observation(x=(F(1), F(2), F(5)), p=(F(1), F(1), F(1))))
-        no_o = (Observation(x=(F(1), F(1)), p=(F(1), F(1))),)
-        for ds, size in ((Dataset(n_z=1, n_o=2, observations=obs,
-                                  evaluation_points=()), 4),
-                         (Dataset(n_z=2, n_o=0, observations=no_o,
-                                  evaluation_points=()), 1)):
-            grid = build_grid(ds, "per-level-union")
-            assert grid.points == build_grid(ds, "full-product").points
-            assert len(grid.points) == size
+        ds = Dataset(n_z=1, n_o=2, observations=obs, evaluation_points=())
+        grid = build_grid(ds, "per-level-union")
+        assert grid.points == build_grid(ds, "full-product").points
+        assert len(grid.points) == 4
+
+    def test_foreign_data_without_o_goods_gets_the_full_product(self):
+        # data with no o-goods has no level structure and is not rejected
+        ds = Dataset(n_z=2, n_o=0,
+                     observations=(Observation(x=(F(1), F(1)),
+                                               p=(F(1), F(1))),),
+                     evaluation_points=())
+        grid = build_grid(ds, "per-level-union")
+        assert grid.points == build_grid(ds, "full-product").points
+        assert len(grid.points) == 1
 
     def test_unknown_mode(self, single_clause):
         with pytest.raises(GridError):
