@@ -61,7 +61,13 @@ def _verdict_doc(verdict: septest.TestVerdict) -> dict:
 def cmd_reduce(args) -> int:
     formula = _load_formula(args.cnf)
     eta = parse_rational(args.positive_prices)
-    ds = reduction.reduce_formula(formula, args.offset_mode, eta)
+    try:
+        ds = reduction.reduce_formula(formula, args.offset_mode, eta)
+    except reduction.ConstructionError as exc:
+        if eta == 0:
+            raise  # the unperturbed construction failing is an internal fault
+        raise ValueError(f"--positive-prices {args.positive_prices} is too "
+                         f"large for this formula: {exc}") from None
     text = reduction.dataset_to_json(ds)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:

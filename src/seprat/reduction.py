@@ -424,21 +424,35 @@ def dataset_from_json(text: str) -> Dataset:
         raise DatasetError(f"bad dimensions n_z={n_z} n_o={n_o}")
     dim = n_z + n_o
 
+    def rows(key):
+        raw = doc.get(key, [])
+        if not isinstance(raw, list):
+            raise DatasetError(f"{key} must be a list")
+        return raw
+
+    def label(row, key, what):
+        value = row.get(key)
+        if value is not None and type(value) is not int:  # bool is no level
+            raise DatasetError(f"{what} {key} must be an integer or null")
+        return value
+
     observations = []
-    for idx, row in enumerate(doc.get("observations", [])):
+    for idx, row in enumerate(rows("observations")):
         if not isinstance(row, dict) or "x" not in row or "p" not in row:
             raise DatasetError(f"observation {idx} needs x and p")
+        what = f"observation {idx}"
         observations.append(Observation(
-            x=vec(row["x"], dim, f"observation {idx} bundle"),
-            p=vec(row["p"], dim, f"observation {idx} price"),
-            clause=row.get("clause"), k=row.get("k")))
+            x=vec(row["x"], dim, f"{what} bundle"),
+            p=vec(row["p"], dim, f"{what} price"),
+            clause=label(row, "clause", what), k=label(row, "k", what)))
     evaluation_points = []
-    for idx, row in enumerate(doc.get("evaluation_points", [])):
+    for idx, row in enumerate(rows("evaluation_points")):
         if not isinstance(row, dict) or "x" not in row:
             raise DatasetError(f"evaluation point {idx} needs x")
+        what = f"evaluation point {idx}"
         evaluation_points.append(EvaluationPoint(
-            x=vec(row["x"], dim, f"evaluation point {idx}"),
-            clause=row.get("clause"), t=row.get("t")))
+            x=vec(row["x"], dim, what),
+            clause=label(row, "clause", what), t=label(row, "t", what)))
 
     eps = doc.get("epsilon")
     big = doc.get("M")

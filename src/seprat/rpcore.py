@@ -88,6 +88,7 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
             levels.setdefault(lvl, []).append((split(x), label))
         groups = [levels[k] for k in sorted(levels)]
     else:
+        mode = "full-product"
         groups = [[(split(x), label) for x, _, label in sources]]
 
     z_parts, o_parts, points = [], [], []

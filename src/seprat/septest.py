@@ -76,63 +76,51 @@ class WitnessCheck:
 class _Arena:
     """Order-independent precomputation for one (dataset, grid, tie mode).
 
-    Edges that do not depend on the u-order (1-edges and same-z dominance
-    hops) are frozen once.  2-edges within an o-column are realized as the
+    Dominance edges come from each ordered pair of o-columns whose o-parts
+    dominate: each point of the upper column points at each point of the
+    lower one.  Those within one z-part do not depend on the u-order and
+    are frozen once, with the 1-edges, as the adjacency list `fixed`;
+    those across distinct z-parts are candidates gated by a single rank
+    comparison.  2-edges within an o-column are realized as the
     rank-consecutive chain, which has the same reachability as the full
-    family; dominance edges across distinct z-parts are kept as candidate
-    pairs gated by a single rank comparison.
+    family.
     """
 
     def __init__(self, ds: Dataset, grid: Grid, tie_mode: str):
         self.grid = grid
-        self.tie_mode = tie_mode
         self.n_points = len(grid.points)
         self.nz = len(grid.z_parts)
         base = revealed_relation(ds, grid, tie_mode)
-        self.one_edges = [(e.src, e.dst) for e in base.edges]
-
-        o_ge = {}
-        for a, oa in enumerate(grid.o_parts):
-            for b, ob in enumerate(grid.o_parts):
-                if a != b and dominates(oa, ob):
-                    o_ge[(a, b)] = True
-
-        self.always = list(self.one_edges)
+        self.always = [(e.src, e.dst) for e in base.edges]
         self.dom_candidates = []  # (src_pt, dst_pt, z_src, z_dst)
-        by_zo = {}
-        for j in range(self.n_points):
-            by_zo[(grid.pt_z[j], grid.pt_o[j])] = j
-        for i in range(self.n_points):
-            zi, oi = grid.pt_z[i], grid.pt_o[i]
-            for j in range(self.n_points):
-                if i == j:
-                    continue
-                zj, oj = grid.pt_z[j], grid.pt_o[j]
-                if oi == oj:
-                    continue  # same column: handled by 2-edge chains
-                if (oi, oj) not in o_ge:
-                    continue
-                if zi == zj:
-                    self.always.append((i, j))
-                else:
-                    self.dom_candidates.append((i, j, zi, zj))
-
         self.columns = {}
         for j in range(self.n_points):
             self.columns.setdefault(grid.pt_o[j], []).append(j)
-        self.columns = {o: pts for o, pts in self.columns.items() if len(pts) > 1}
+        for oa, upper in self.columns.items():
+            for ob, lower in self.columns.items():
+                if not dominates(grid.o_parts[oa], grid.o_parts[ob]):
+                    continue
+                for i in upper:
+                    zi = grid.pt_z[i]
+                    for j in lower:
+                        zj = grid.pt_z[j]
+                        if zi == zj:
+                            self.always.append((i, j))
+                        else:
+                            self.dom_candidates.append((i, j, zi, zj))
+        self.fixed = [[] for _ in range(self.n_points)]
+        for s, d in self.always:
+            self.fixed[s].append(d)
+        self.always_set = set(self.always)
 
         self.z_dom_pairs = []
         for a in range(self.nz):
             for b in range(self.nz):
                 if a != b and dominates(grid.z_parts[a], grid.z_parts[b]):
                     self.z_dom_pairs.append((a, b))
-        self.always_set = set(self.always)
 
     def adjacency_under(self, rank: list) -> list:
-        adj = [[] for _ in range(self.n_points)]
-        for s, d in self.always:
-            adj[s].append(d)
+        adj = [list(dsts) for dsts in self.fixed]
         for pts in self.columns.values():
             chain = sorted(pts, key=lambda j: rank[self.grid.pt_z[j]])
             for s, d in zip(chain, chain[1:]):
@@ -146,13 +134,13 @@ class _Arena:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
 
     def classify(self, src: int, dst: int) -> tuple | None:
-        """Order condition behind an edge of a cycle; None if unconditional."""
+        """Order condition behind an edge of a cycle; None if unconditional.
+
+        Every edge outside the frozen set joins two distinct z-parts.
+        """
         if (src, dst) in self.always_set:
             return None
-        zs, zd = self.grid.pt_z[src], self.grid.pt_z[dst]
-        if zs == zd:
-            return None
-        return (zs, zd)
+        return self.grid.pt_z[src], self.grid.pt_z[dst]
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
@@ -164,6 +152,7 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
             f"{arena.nz} z-parts exceeds the enumeration guard of "
             f"{BRUTEFORCE_ZPART_GUARD}; use decide_cegar")
     explored = 0
+    witness = None
     rank = [0] * arena.nz
     for perm in itertools.permutations(range(arena.nz)):
         for pos, z in enumerate(perm):
@@ -176,11 +165,11 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
             witness = SeparabilityWitness(tuple(perm), tuple(order),
                                           "bruteforce", 0)
             _assert_valid(ds, grid, witness, tie_mode)
-            return TestVerdict("rationalizable", witness,
-                               {"method": "bruteforce",
-                                "orders_explored": explored})
-    return TestVerdict("not-rationalizable", None,
-                       {"method": "bruteforce", "orders_explored": explored})
+            break
+    stats = {"method": "bruteforce", "orders_explored": explored,
+             "grid": grid.mode}
+    status = "not-rationalizable" if witness is None else "rationalizable"
+    return TestVerdict(status, witness, stats)
 
 
 def _order_var_map(nz: int):
@@ -215,7 +204,7 @@ def _cegar_search(arena: _Arena, extra_units=(),
     topological order of the combined relation under it; both are None
     when every admissible order leaves a cycle.
     """
-    if topological_order(_unconditional_adjacency(arena)) is None:
+    if topological_order(arena.fixed) is None:
         return None, None, 0
     nz = arena.nz
     var = _order_var_map(nz)
@@ -248,13 +237,6 @@ def _cegar_search(arena: _Arena, extra_units=(),
                   iterations, len(conditions))
 
 
-def _unconditional_adjacency(arena: _Arena) -> list:
-    adj = [[] for _ in range(arena.n_points)]
-    for s, d in arena.always:
-        adj[s].append(d)
-    return adj
-
-
 def _rank_from_model(nz: int, var: dict, model: list) -> list:
     score = [0] * nz
     for (a, b), v in var.items():
@@ -272,7 +254,7 @@ def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
     """Lazy SAT search over u-orders with cycle-driven blocking clauses."""
     arena = _Arena(ds, grid, tie_mode)
     u_order, v_order, iterations = _cegar_search(arena, (), conflict_limit)
-    stats = {"method": "cegar", "iterations": iterations}
+    stats = {"method": "cegar", "iterations": iterations, "grid": grid.mode}
     if u_order is None:
         return TestVerdict("not-rationalizable", None, stats)
     witness = SeparabilityWitness(u_order, v_order, "cegar", iterations)

@@ -1,5 +1,6 @@
 import csv
 import json
+import traceback
 
 import pytest
 
@@ -62,6 +63,14 @@ class TestReduce:
         assert code == 0
         ds = dataset_from_json(out.read_text())
         assert all(c > 0 for o in ds.observations for c in o.p)
+
+    def test_oversized_positive_prices_is_an_input_error(self, capsys,
+                                                         cnf_file):
+        code, out, err = run(capsys, "reduce", cnf_file,
+                             "--positive-prices", "1000")
+        assert code == 2
+        assert out == ""
+        assert "error: --positive-prices 1000" in err
 
 
 class TestTest:
@@ -169,6 +178,69 @@ class TestBench:
     def test_zero_clauses_rejected(self, capsys):
         code, _, err = run(capsys, "bench", "--clauses", "0:0")
         assert code == 2 and "clause" in err
+
+
+def _leveled_dataset(obs_fields=None, eval_fields=None):
+    """Dataset JSON with clause levels; the first row of each kind gets the
+    given fields on top."""
+    obs = [{"x": ["1", "2"], "p": ["1", "1"], "clause": 1},
+           {"x": ["2", "1"], "p": ["1", "1"], "clause": 1}]
+    evs = [{"x": ["1", "1"], "clause": 1}]
+    obs[0].update(obs_fields or {})
+    evs[0].update(eval_fields or {})
+    return json.dumps({"n_z": 1, "n_o": 1, "observations": obs,
+                       "evaluation_points": evs}).encode()
+
+
+MALFORMED_DIMACS = {
+    "empty": b"",
+    "bad header": b"p cnf three 1\n1 2 3 0\n",
+    "unknown token": b"p cnf 3 1\n1 2 x 0\n",
+    "variable out of range": b"p cnf 2 1\n1 2 3 0\n",
+    "repeated variable": b"p cnf 3 1\n1 1 2 0\n",
+    "unterminated clause": b"p cnf 3 1\n1 2 3\n",
+    "clause count mismatch": b"p cnf 3 2\n1 2 3 0\n",
+    "not utf-8": b"p cnf 3 1\n\xff\xfe 0\n",
+}
+
+MALFORMED_DATASETS = {
+    "not json": b"{not json",
+    "top level list": b"[]",
+    "missing n_o": b'{"n_z": 2}',
+    "observations not a list": b'{"n_z": 1, "n_o": 1, "observations": 5}',
+    "evaluation_points not a list":
+        b'{"n_z": 1, "n_o": 1, "evaluation_points": 5}',
+    "short bundle": b'{"n_z": 1, "n_o": 1, "observations": '
+                    b'[{"x": ["1"], "p": ["1", "1"]}]}',
+    "bad rational": b'{"n_z": 1, "n_o": 1, "observations": '
+                    b'[{"x": ["1", "0.5"], "p": ["1", "1"]}]}',
+    "string clause": _leveled_dataset({"clause": "2"}),
+    "list clause": _leveled_dataset(eval_fields={"clause": [1]}),
+    "fractional clause": _leveled_dataset({"clause": 1.5}),
+    "boolean clause": _leveled_dataset(eval_fields={"clause": True}),
+    "boolean slot": _leveled_dataset({"k": True}),
+}
+
+HOSTILE_CASES = (
+    [(cmd, name, text) for cmd in ("reduce", "sat", "verify")
+     for name, text in MALFORMED_DIMACS.items()]
+    + [(cmd, name, text) for cmd in ("test", "export-dot")
+       for name, text in MALFORMED_DATASETS.items()])
+
+
+@pytest.mark.parametrize("command,name,content", HOSTILE_CASES,
+                         ids=[f"{c}-{n}" for c, n, _ in HOSTILE_CASES])
+def test_hostile_input_files_exit_2_without_traceback(capsys, tmp_path,
+                                                      command, name, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    try:
+        code, out, err = run(capsys, command, str(path))
+    except Exception:  # would reach the user as a traceback
+        pytest.fail(f"{command} on {name}: {traceback.format_exc()}")
+    assert code == 2, out + err
+    assert any(line.startswith("error: ") for line in err.splitlines())
+    assert "Traceback" not in out + err
 
 
 class TestExportDot:

@@ -288,6 +288,22 @@ class TestDatasetJson:
          '"p": ["1", "1"]}]}', "bad rational"),
         ('{"n_z": 2, "n_o": 1, "observations": [{"x": ["1", "1", "1"]}]}',
          "needs x and p"),
+        ('{"n_z": 1, "n_o": 1, "evaluation_points": 5}',
+         "evaluation_points must be a list"),
+        ('{"n_z": 1, "n_o": 1, "observations": {"x": ["1", "1"]}}',
+         "observations must be a list"),
+        ('{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "1"], '
+         '"p": ["1", "1"], "clause": "1"}]}', "clause must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "1"], '
+         '"p": ["1", "1"], "clause": [1]}]}', "clause must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "1"], '
+         '"p": ["1", "1"], "clause": 1.5}]}', "clause must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "1"], '
+         '"p": ["1", "1"], "clause": true}]}', "clause must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "1"], '
+         '"p": ["1", "1"], "k": "2"}]}', "k must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "evaluation_points": [{"x": ["1", "1"], '
+         '"t": false}]}', "t must be an integer"),
     ])
     def test_rejections(self, text, fragment):
         with pytest.raises(DatasetError, match=fragment):

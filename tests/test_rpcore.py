@@ -64,6 +64,18 @@ class TestBuildGrid:
         assert grid.points == build_grid(ds, "full-product").points
         assert len(grid.points) == 4
 
+    def test_grid_mode_names_the_grid_built(self, single_clause):
+        # data without clause levels is labelled with the full product it
+        # gets, whichever mode was asked for
+        foreign = Dataset(n_z=1, n_o=1,
+                          observations=(Observation(x=(F(1), F(2)),
+                                                    p=(F(1), F(1))),),
+                          evaluation_points=())
+        assert build_grid(foreign).mode == "full-product"
+        compiled = reduce_formula(single_clause)
+        assert build_grid(compiled).mode == "per-level-union"
+        assert build_grid(compiled, "full-product").mode == "full-product"
+
     def test_foreign_data_without_o_goods_gets_the_full_product(self):
         # data with no o-goods has no level structure and is not rejected
         ds = Dataset(n_z=2, n_o=0,

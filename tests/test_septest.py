@@ -1,19 +1,21 @@
 import json
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from seprat import cnf
+from seprat.numerics import dominates
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, reduce_formula)
-from seprat.rpcore import GridPoint, build_grid
-from seprat.septest import (GuardExceeded, SeparabilityWitness,
+from seprat.rpcore import GridPoint, build_grid, revealed_relation
+from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
                             WitnessConstructionError, decide,
                             decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
-from tests.conftest import (ALL_SIGN_PATTERNS, SLOT_CONFLICT,
+from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
                             random_foreign_dataset)
 
 F = Fraction
@@ -360,8 +362,7 @@ class TestTruthAssignmentToWitness:
 
 
 def test_grid_modes_agree_on_compiled_datasets():
-    # per-level-union is authoritative; divergences from the full product
-    # are logged here rather than asserted away
+    # on compiled data the per-level grid must give the full-product verdict
     rng = random.Random(17)
     divergences = []
     for _ in range(8):
@@ -372,9 +373,50 @@ def test_grid_modes_agree_on_compiled_datasets():
         if a.status != b.status:
             divergences.append(([c.to_ints() for c in f.clauses],
                                 a.status, b.status))
-    for d in divergences:
-        print(f"grid-mode divergence: {d}")
-    assert len(divergences) <= 8  # informational; union mode stays authoritative
+    assert divergences == []
+
+
+def test_verdicts_name_the_grid_they_were_decided_over(single_clause):
+    compiled = reduce_formula(single_clause)
+    foreign = one_point_dataset()
+    for method in ("bruteforce", "cegar"):
+        assert decide(compiled, tie_mode="strict", method=method
+                      ).stats["grid"] == "per-level-union"
+        assert decide(compiled, tie_mode="strict", method=method,
+                      grid_mode="full-product").stats["grid"] == "full-product"
+        assert decide(foreign, method=method).stats["grid"] == "full-product"
+
+
+def _all_pairs_edge_families(ds, grid, tie_mode):
+    """The arena's order-independent edges and dominance candidates,
+    derived by scanning every ordered pair of grid points."""
+    always = Counter((e.src, e.dst)
+                     for e in revealed_relation(ds, grid, tie_mode).edges)
+    candidates = Counter()
+    for i, (zi, oi) in enumerate(zip(grid.pt_z, grid.pt_o)):
+        for j, (zj, oj) in enumerate(zip(grid.pt_z, grid.pt_o)):
+            if oi == oj or not dominates(grid.o_parts[oi], grid.o_parts[oj]):
+                continue
+            if zi == zj:
+                always[(i, j)] += 1
+            else:
+                candidates[(i, j, zi, zj)] += 1
+    return always, candidates
+
+
+def test_arena_edge_families_match_an_all_pairs_scan():
+    rng = random.Random(23)
+    datasets = [random_foreign_dataset(rng) for _ in range(40)]
+    for text in (SINGLE_CLAUSE, SLOT_CONFLICT):
+        datasets.append(reduce_formula(cnf.parse_dimacs(text)))
+    datasets.append(reduce_formula(cnf.random_formula(rng, 4, 3)))
+    for ds in datasets:
+        grid = build_grid(ds)
+        for tie in ("strict", "weak"):
+            arena = _Arena(ds, grid, tie)
+            always, candidates = _all_pairs_edge_families(ds, grid, tie)
+            assert Counter(arena.always) == always
+            assert Counter(arena.dom_candidates) == candidates
 
 
 def test_default_grid_agrees_with_full_product_on_foreign_data():
