@@ -1,21 +1,19 @@
-"""Command-line surface: reduce, test, sat, verify, bench, export-dot.
+"""Command-line surface: reduce, test, sat, verify, export-dot.
 
-Machine-readable JSON (or CSV for bench) goes to stdout; human diagnostics
-go to stderr.  Exit codes: 0 success or affirmative, 2 input error,
-3 negative verdict when --exit-code is given, 4 resource budget exhausted.
+Machine-readable JSON goes to stdout; human diagnostics go to stderr.
+Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
+2 input error, 3 negative verdict when --exit-code is given, 4 resource
+budget exhausted.
 Set SEPRAT_LOG=debug|info|warning for logging verbosity.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
-import random
 import sys
-import time
 
 from . import __version__, cnf, reduction, rpcore, satcore, septest
 from .numerics import RationalFormatError, format_rational, parse_rational
@@ -126,61 +124,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if agree else 1
 
 
-def _parse_range(text: str) -> range:
-    lo, _, hi = text.partition(":")
-    lo = int(lo)
-    hi = int(hi) if hi else lo
-    if lo > hi:
-        raise ValueError(f"empty range {text!r}")
-    return range(lo, hi + 1)
-
-
-def cmd_bench(args) -> int:
-    var_range = _parse_range(args.vars)
-    clause_range = _parse_range(args.clauses)
-    if min(clause_range) < 1:
-        raise ValueError("benchmark requires at least one clause per formula")
-    if min(var_range) < 3:
-        raise ValueError("benchmark requires at least three variables")
-    rng = random.Random(args.seed)
-    rows = []
-    for nvars in var_range:
-        for nclauses in clause_range:
-            for idx in range(args.per_cell):
-                formula = cnf.random_formula(rng, nvars, nclauses)
-                compact = ";".join(
-                    ",".join(str(l) for l in c.to_ints())
-                    for c in formula.clauses)
-                sat = _solve(formula, args.budget).status == "sat"
-                t0 = time.perf_counter()
-                ds = reduction.reduce_formula(formula, args.offset_mode)
-                t1 = time.perf_counter()
-                verdict = septest.decide(
-                    ds, tie_mode=args.tie_mode, grid_mode=args.grid_mode,
-                    method=args.method, conflict_limit=args.budget)
-                t2 = time.perf_counter()
-                rows.append({
-                    "vars": nvars, "clauses": nclauses, "instance": idx,
-                    "seed": args.seed, "formula": compact,
-                    "satisfiable": int(sat),
-                    "rationalizable": int(verdict.rationalizable),
-                    "agree": int(sat == verdict.rationalizable),
-                    "reduce_seconds": f"{t1 - t0:.6f}",
-                    "decide_seconds": f"{t2 - t1:.6f}",
-                    "iterations": verdict.stats.get("iterations", 0),
-                })
-    out = sys.stdout if not args.output else open(
-        args.output, "w", encoding="utf-8", newline="")
-    try:
-        writer = csv.DictWriter(out, fieldnames=list(rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    return EXIT_OK
-
-
 def cmd_export_dot(args) -> int:
     ds = _load_dataset(args.dataset)
     grid = rpcore.build_grid(ds, args.grid_mode)
@@ -238,20 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("cnf")
     p.add_argument("--offset-mode", choices=("paper", "linear"),
                    default="paper")
-    # compiled datasets relate observations through strictly cheaper
-    # bundles; the weak reading trips over their deliberate cost ties
+    # the acceptance criteria for compiled data are stated for strict ties
     p.set_defaults(func=cmd_verify, tie_mode="strict")
-
-    p = sub.add_parser("bench", parents=[common],
-                       help="timing grid over random instances")
-    p.add_argument("--vars", default="3:4", help="range LO:HI")
-    p.add_argument("--clauses", default="1:2", help="range LO:HI")
-    p.add_argument("--per-cell", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--offset-mode", choices=("paper", "linear"),
-                   default="paper")
-    p.add_argument("-o", "--output")
-    p.set_defaults(func=cmd_bench, tie_mode="strict")
 
     p = sub.add_parser("export-dot", help="write the revealed graph as DOT")
     p.add_argument("dataset")

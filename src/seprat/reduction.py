@@ -415,11 +415,9 @@ def dataset_from_json(text: str) -> Dataset:
         except ValueError as exc:
             raise DatasetError(f"{what}: {exc}") from None
 
-    try:
-        n_z = int(doc["n_z"])
-        n_o = int(doc["n_o"])
-    except (KeyError, TypeError, ValueError):
-        raise DatasetError("missing or malformed n_z / n_o") from None
+    n_z, n_o = doc.get("n_z"), doc.get("n_o")
+    if type(n_z) is not int or type(n_o) is not int:  # not bool, float, str
+        raise DatasetError("missing or malformed n_z / n_o")
     if n_z < 1 or n_o < 0:
         raise DatasetError(f"bad dimensions n_z={n_z} n_o={n_o}")
     dim = n_z + n_o

@@ -52,7 +52,7 @@ class Grid:
 class Edge:
     src: int
     dst: int
-    provenance: tuple  # ("obs", k) | ("order", z_a, z_b) | ("dominance", ...)
+    provenance: tuple  # ("obs", k): observation k reveals the edge
 
 
 @dataclass

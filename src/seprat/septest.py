@@ -37,7 +37,7 @@ from .rpcore import (Grid, build_grid, find_cycle_in_adjacency,
 log = logging.getLogger(__name__)
 
 BRUTEFORCE_ZPART_GUARD = 9
-AUTO_BRUTEFORCE_LIMIT = 8
+AUTO_BRUTEFORCE_LIMIT = 6
 
 
 class GuardExceeded(ValueError):
@@ -266,7 +266,7 @@ def decide(ds: Dataset, tie_mode: str = "weak",
            grid_mode: str = "per-level-union", method: str = "auto",
            conflict_limit: int | None = None) -> TestVerdict:
     """Grid construction plus method dispatch (auto favors brute force only
-    on grids with at most 8 z-parts)."""
+    on grids with at most 6 z-parts; from 7 on refinement is never slower)."""
     grid = build_grid(ds, grid_mode)
     if method == "auto":
         method = "bruteforce" if len(grid.z_parts) <= AUTO_BRUTEFORCE_LIMIT \

@@ -1,5 +1,6 @@
-import csv
 import json
+import pathlib
+import shlex
 import traceback
 
 import pytest
@@ -152,34 +153,6 @@ class TestVerify:
         assert "DISAGREE" in err
 
 
-class TestBench:
-    def test_row_count_and_schema(self, capsys, tmp_path):
-        out = tmp_path / "bench.csv"
-        code, _, _ = run(capsys, "bench", "--vars", "3:4", "--clauses", "1:2",
-                         "--seed", "7", "--tie-mode", "strict",
-                         "-o", str(out))
-        assert code == 0
-        with open(out) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        assert {"vars", "clauses", "formula", "satisfiable",
-                "rationalizable", "agree", "reduce_seconds",
-                "decide_seconds"} <= set(rows[0])
-
-    def test_same_seed_same_instances(self, capsys, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        for out in (a, b):
-            assert run(capsys, "bench", "--vars", "3:3", "--clauses", "1:2",
-                       "--seed", "11", "--tie-mode", "strict",
-                       "-o", str(out))[0] == 0
-        read = lambda p: [r["formula"] for r in csv.DictReader(open(p))]
-        assert read(a) == read(b)
-
-    def test_zero_clauses_rejected(self, capsys):
-        code, _, err = run(capsys, "bench", "--clauses", "0:0")
-        assert code == 2 and "clause" in err
-
-
 def _leveled_dataset(obs_fields=None, eval_fields=None):
     """Dataset JSON with clause levels; the first row of each kind gets the
     given fields on top."""
@@ -207,6 +180,12 @@ MALFORMED_DATASETS = {
     "not json": b"{not json",
     "top level list": b"[]",
     "missing n_o": b'{"n_z": 2}',
+    "fractional n_z": b'{"n_z": 1.9, "n_o": 1, "observations": '
+                      b'[{"x": ["1", "2"], "p": ["1", "1"]}]}',
+    "boolean n_o": b'{"n_z": 1, "n_o": true, "observations": '
+                   b'[{"x": ["1", "2"], "p": ["1", "1"]}]}',
+    "string n_z": b'{"n_z": "2", "n_o": 1, "observations": '
+                  b'[{"x": ["1", "2", "1"], "p": ["1", "1", "1"]}]}',
     "observations not a list": b'{"n_z": 1, "n_o": 1, "observations": 5}',
     "evaluation_points not a list":
         b'{"n_z": 1, "n_o": 1, "evaluation_points": 5}',
@@ -266,3 +245,26 @@ def test_log_env_var_controls_verbosity(capsys, monkeypatch, cnf_file):
         assert pkg_logger.level == logging.DEBUG
     finally:
         pkg_logger.setLevel(before)
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_cli_examples_parse():
+    # every documented command line must still parse; nothing is run
+    text = README.read_text(encoding="utf-8")
+    block = text.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = [l for l in block.splitlines() if l.startswith("seprat ")]
+    assert examples
+    parser = cli._build_parser()
+    for line in examples:
+        try:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
+def test_help_lists_exactly_the_five_commands(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert "{reduce,test,sat,verify,export-dot}" in capsys.readouterr().out

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from seprat import cnf
+from seprat import cnf, reduction
 from seprat.numerics import dot, parse_rational
 from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, OBSERVED_SLOTS,
                               ConstructionError, DatasetError, base_points,
@@ -235,6 +235,29 @@ class TestReduce:
             offsets = sorted({o.x[-1] for o in ds.observations})
             assert len(offsets) == 3
 
+    def test_level_separation_check_rejects_equal_offsets(self, monkeypatch):
+        # with every level at the same offset, level 1 reaches into level 2
+        # and level 2 fails to dominate level 1; each direction must raise
+        f = cnf.parse_dimacs("p cnf 4 2\n1 2 3 0\n-2 3 4 0\n")
+        check = reduction._verify_level_separation
+        calls = []
+
+        def record(*args):
+            calls.append(args)
+            check(*args)
+
+        monkeypatch.setattr(reduction, "_offsets",
+                            lambda mode, count, gc, gadgets: [gc.M] * count)
+        monkeypatch.setattr(reduction, "_verify_level_separation", record)
+        with pytest.raises(ConstructionError, match="level 1 observation "
+                           "k=1 reaches into level 2"):
+            reduce_formula(f)
+        gadgets, offsets, observations = calls[0]
+        level_two = [o for o in observations if o.clause == 2]
+        with pytest.raises(ConstructionError, match="level 2 observation "
+                           "k=1 does not dominate level 1"):
+            check(gadgets, offsets, level_two)
+
     def test_linear_offsets_grow_linearly(self):
         f = cnf.parse_dimacs("p cnf 5 3\n1 2 3 0\n-2 4 5 0\n1 -3 5 0\n")
         ds = reduce_formula(f, "linear")
@@ -282,6 +305,12 @@ class TestDatasetJson:
         ("[]", "top level"),
         ("{not json", "not valid JSON"),
         ('{"n_z": 2}', "n_z / n_o"),
+        ('{"n_z": 1.9, "n_o": 1, "observations": [{"x": ["1", "2"], '
+         '"p": ["1", "1"]}]}', "n_z / n_o"),
+        ('{"n_z": 1, "n_o": true, "observations": [{"x": ["1", "2"], '
+         '"p": ["1", "1"]}]}', "n_z / n_o"),
+        ('{"n_z": "2", "n_o": 1, "observations": [{"x": ["1", "2", "1"], '
+         '"p": ["1", "1", "1"]}]}', "n_z / n_o"),
         ('{"n_z": 2, "n_o": 1, "observations": [{"x": ["1"], "p": ["1"]}]}',
          "list of 3"),
         ('{"n_z": 2, "n_o": 0, "observations": [{"x": ["1", "0.5"], '

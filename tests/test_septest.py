@@ -73,12 +73,21 @@ class TestDecide:
             decide_bruteforce(ds, grid, "strict")
 
     def test_auto_dispatch(self, single_clause):
-        # nine z-parts exceed the auto threshold of eight, so auto refines
+        # auto enumerates orders only up to six z-parts; the single clause's
+        # nine and the seven below exceed that, so auto refines
         ds = reduce_formula(single_clause)
         verdict = decide(ds, tie_mode="strict", method="auto")
         assert verdict.stats["method"] == "cegar"
         foreign = one_point_dataset()
         assert decide(foreign, method="auto").stats["method"] == "bruteforce"
+        for nz, method in ((6, "bruteforce"), (7, "cegar")):
+            spread = Dataset(
+                n_z=1, n_o=1,
+                observations=(Observation(x=(F(0), F(1)), p=(F(1), F(1))),),
+                evaluation_points=tuple(EvaluationPoint(x=(F(z), F(1)))
+                                        for z in range(1, nz)))
+            assert len(build_grid(spread).z_parts) == nz
+            assert decide(spread, method="auto").stats["method"] == method
 
     def test_deciders_agree_on_foreign_datasets(self):
         rng = random.Random(41)
