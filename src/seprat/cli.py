@@ -1,6 +1,9 @@
 """Command-line surface: reduce, test, sat, verify, export-dot.
 
 Machine-readable JSON goes to stdout; human diagnostics go to stderr.
+The grid follows from the data, and each verdict names it in `stats.grid`;
+`--method auto` lets `septest.decide` pick the decider by grid size, and
+`--method cegar` always refines.
 Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
 2 input error, 3 negative verdict when --exit-code is given, 4 resource
 budget exhausted.
@@ -82,8 +85,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_test(args) -> int:
     ds = _load_dataset(args.dataset)
-    verdict = septest.decide(ds, tie_mode=args.tie_mode,
-                             grid_mode=args.grid_mode, method=args.method,
+    verdict = septest.decide(ds, tie_mode=args.tie_mode, method=args.method,
                              conflict_limit=args.budget)
     _emit(_verdict_doc(verdict))
     if args.exit_code and not verdict.rationalizable:
@@ -113,8 +115,7 @@ def cmd_verify(args) -> int:
     formula = _load_formula(args.cnf)
     satisfiable = _solve(formula, args.budget).status == "sat"
     ds = reduction.reduce_formula(formula, args.offset_mode)
-    verdict = septest.decide(ds, tie_mode=args.tie_mode,
-                             grid_mode=args.grid_mode, method=args.method,
+    verdict = septest.decide(ds, tie_mode=args.tie_mode, method=args.method,
                              conflict_limit=args.budget)
     agree = satisfiable == verdict.rationalizable
     _emit({"satisfiable": satisfiable,
@@ -126,7 +127,7 @@ def cmd_verify(args) -> int:
 
 def cmd_export_dot(args) -> int:
     ds = _load_dataset(args.dataset)
-    grid = rpcore.build_grid(ds, args.grid_mode)
+    grid = rpcore.build_grid(ds)
     graph = rpcore.revealed_relation(ds, grid, args.tie_mode)
     text = rpcore.to_dot(ds, grid, graph)
     if args.output:
@@ -147,10 +148,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
-    common.add_argument("--grid-mode", choices=rpcore.GRID_MODES,
-                        default="per-level-union")
-    common.add_argument("--method", choices=("bruteforce", "cegar", "auto"),
-                        default="auto")
+    common.add_argument("--method", choices=("auto", "cegar"), default="auto")
     common.add_argument("--budget", type=int, default=None,
                         help="conflict budget for the SAT engine")
 
@@ -187,8 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", help="write the revealed graph as DOT")
     p.add_argument("dataset")
     p.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="strict")
-    p.add_argument("--grid-mode", choices=rpcore.GRID_MODES,
-                   default="per-level-union")
     p.add_argument("-o", "--output")
     p.set_defaults(func=cmd_export_dot)
     return parser
@@ -201,7 +197,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (cnf.DimacsError, cnf.FormulaError, reduction.DatasetError,
-            rpcore.GridError, RationalFormatError, ValueError, OSError) as exc:
+            RationalFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except satcore.BudgetExhausted as exc:

@@ -103,7 +103,6 @@ class ClauseGadget:
 
     bundles: dict
     prices: dict
-    literal_map: tuple  # ((variable, negated), ...) in slot order i, j, h
 
 
 @dataclass(frozen=True)
@@ -251,7 +250,7 @@ def build_clause_gadget(clause: Clause, bp: BasePoints,
         raise ConstructionError(
             f"clause block relation {sorted(edges)} is not the three chains; "
             f"clause {clause.to_ints()}")
-    return ClauseGadget(bundles, prices, tuple(clause.literals))
+    return ClauseGadget(bundles, prices)
 
 
 def _offsets(mode: str, count: int, gc: GadgetConstants,

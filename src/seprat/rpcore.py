@@ -4,7 +4,7 @@ The grid collects the z- and o-projections of all bundles in a dataset
 (observations and evaluation points alike) and, per level, forms their
 product; a "level" is the clause index recorded by the compiler.  The
 full-product mode crosses all projections regardless of level, and data
-without clause levels always gets the full product.
+without clause levels, or without bundles, always gets the full product.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ class Grid:
     pt_z: list             # z_parts index per point
     pt_o: list             # o_parts index per point
     point_index: dict      # GridPoint -> index
-    provenance: dict       # point index -> list of source labels
     mode: str = "per-level-union"
 
 
@@ -61,40 +60,29 @@ class RevealedGraph:
     edges: list = field(default_factory=list)
 
 
-def _sources(ds: Dataset):
-    out = []
-    for idx, o in enumerate(ds.observations):
-        out.append((o.x, o.clause, f"obs{idx}"))
-    for idx, e in enumerate(ds.evaluation_points):
-        out.append((e.x, e.clause, f"eval{idx}"))
-    return out
-
-
 def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
     """Build the evaluation grid from all bundles of the dataset."""
     if mode not in GRID_MODES:
         raise GridError(f"unknown grid mode {mode!r}")
-    sources = _sources(ds)
-    if not sources:
-        raise GridError("dataset has no bundles to build a grid from")
+    sources = [(o.x, o.clause) for o in ds.observations] \
+        + [(e.x, e.clause) for e in ds.evaluation_points]
 
     def split(x):
         return tuple(x[:ds.n_z]), tuple(x[ds.n_z:])
 
-    if mode == "per-level-union" \
-            and all(lvl is not None for _, lvl, _ in sources):
+    if mode == "per-level-union" and sources \
+            and all(lvl is not None for _, lvl in sources):
         levels: dict = {}
-        for x, lvl, label in sources:
-            levels.setdefault(lvl, []).append((split(x), label))
+        for x, lvl in sources:
+            levels.setdefault(lvl, []).append(split(x))
         groups = [levels[k] for k in sorted(levels)]
     else:
         mode = "full-product"
-        groups = [[(split(x), label) for x, _, label in sources]]
+        groups = [[split(x) for x, _ in sources]]
 
     z_parts, o_parts, points = [], [], []
     z_index, o_index, point_index = {}, {}, {}
     pt_z, pt_o = [], []
-    provenance: dict = {}
 
     def intern(part, parts, index):
         if part not in index:
@@ -104,7 +92,7 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
 
     for group in groups:
         group_z, group_o = [], []
-        for (z, o), _ in group:
+        for z, o in group:
             zi = intern(z, z_parts, z_index)
             oi = intern(o, o_parts, o_index)
             if zi not in group_z:
@@ -119,14 +107,10 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
                     points.append(pt)
                     pt_z.append(zi)
                     pt_o.append(oi)
-                    provenance[point_index[pt]] = []
-        for (z, o), label in group:
-            provenance[point_index[GridPoint(z, o)]].append(label)
 
     log.debug("grid: %d z-parts, %d o-parts, %d points (%s)",
               len(z_parts), len(o_parts), len(points), mode)
-    return Grid(z_parts, o_parts, points, pt_z, pt_o, point_index,
-                provenance, mode)
+    return Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, mode)
 
 
 def revealed_relation(ds: Dataset, grid: Grid,
@@ -276,26 +260,21 @@ def _garp_cycle(weak, a, b):
 # -- DOT export --------------------------------------------------------------
 
 def to_dot(ds: Dataset, grid: Grid, graph: RevealedGraph) -> str:
-    """Stable node names: l<level>_t<slot> for compiled bundles, else
-    g<zindex>x<oindex>."""
-    names = {}
-    by_label = {}
-    for idx, o in enumerate(ds.observations):
-        if o.clause is not None and o.k is not None:
-            by_label[f"obs{idx}"] = f"l{o.clause}_t{o.k}"
-    for idx, e in enumerate(ds.evaluation_points):
-        if e.clause is not None and e.t is not None:
-            by_label[f"eval{idx}"] = f"l{e.clause}_t{e.t}"
-    for j in range(len(grid.points)):
-        name = None
-        for label in grid.provenance.get(j, []):
-            name = by_label.get(label)
-            if name:
-                break
-        names[j] = name or f"g{grid.pt_z[j]}x{grid.pt_o[j]}"
+    """Stable node names: l<level>_t<slot> from the first compiled row whose
+    bundle is the point, else g<zindex>x<oindex>."""
+    rows = [(o.x, o.clause, o.k) for o in ds.observations] \
+        + [(e.x, e.clause, e.t) for e in ds.evaluation_points]
+    labels = {}
+    for x, level, slot in rows:
+        if level is not None and slot is not None:
+            j = grid.point_index[GridPoint(tuple(x[:ds.n_z]),
+                                           tuple(x[ds.n_z:]))]
+            labels.setdefault(j, f"l{level}_t{slot}")
+    names = [labels.get(j, f"g{grid.pt_z[j]}x{grid.pt_o[j]}")
+             for j in range(len(grid.points))]
     lines = ["digraph revealed {"]
-    for j in range(len(grid.points)):
-        lines.append(f'  {names[j]};')
+    for name in names:
+        lines.append(f'  {name};')
     for e in graph.edges:
         label = e.provenance[0]
         if label == "obs":

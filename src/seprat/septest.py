@@ -111,7 +111,6 @@ class _Arena:
         self.fixed = [[] for _ in range(self.n_points)]
         for s, d in self.always:
             self.fixed[s].append(d)
-        self.always_set = set(self.always)
 
         self.z_dom_pairs = []
         for a in range(self.nz):
@@ -138,7 +137,7 @@ class _Arena:
 
         Every edge outside the frozen set joins two distinct z-parts.
         """
-        if (src, dst) in self.always_set:
+        if dst in self.fixed[src]:
             return None
         return self.grid.pt_z[src], self.grid.pt_z[dst]
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import pathlib
 import shlex
@@ -139,6 +140,16 @@ class TestVerify:
         assert json.loads(out) == {"satisfiable": False,
                                    "rationalizable": False, "agree": True}
 
+    def test_zero_clause_formula_agrees(self, capsys, tmp_path):
+        # no clauses compile to data without bundles, which is rationalizable
+        path = tmp_path / "empty.cnf"
+        path.write_text("p cnf 3 0\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 0
+        assert json.loads(out) == {"satisfiable": True,
+                                   "rationalizable": True, "agree": True}
+        assert "AGREE" in err
+
     def test_disagreement_reported_and_nonzero(self, capsys, monkeypatch,
                                                cnf_file):
         # a decider that rejects the satisfiable single clause
@@ -268,3 +279,26 @@ def test_help_lists_exactly_the_five_commands(capsys):
     with pytest.raises(SystemExit):
         cli.main(["--help"])
     assert "{reduce,test,sat,verify,export-dot}" in capsys.readouterr().out
+
+
+def test_option_sets_are_pinned():
+    # a new option fails here, so it is seen in review
+    parser = cli._build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {name: {s for a in p._actions for s in a.option_strings}
+               for name, p in commands.items()}
+    help_ = {"-h", "--help"}
+    assert options == {
+        "reduce": help_ | {"-o", "--output", "--offset-mode",
+                           "--positive-prices"},
+        "test": help_ | {"--tie-mode", "--method", "--budget", "--exit-code"},
+        "sat": help_ | {"--budget", "--exit-code"},
+        "verify": help_ | {"--tie-mode", "--method", "--budget",
+                           "--offset-mode"},
+        "export-dot": help_ | {"--tie-mode", "-o", "--output"},
+    }
+    for name in ("test", "verify"):
+        method = next(a for a in commands[name]._actions
+                      if "--method" in a.option_strings)
+        assert set(method.choices) == {"auto", "cegar"}

@@ -90,12 +90,6 @@ class TestBuildGrid:
         with pytest.raises(GridError):
             build_grid(reduce_formula(single_clause), "cartesian")
 
-    def test_provenance_tracks_sources(self, single_clause):
-        ds = reduce_formula(single_clause)
-        grid = build_grid(ds)
-        labeled = [j for j, labels in grid.provenance.items() if labels]
-        assert len(labeled) == 9  # six purchases plus three auxiliary bundles
-
 
 class TestRevealedRelation:
     def test_strict_restriction_is_the_three_chains(self, single_clause):
@@ -234,3 +228,17 @@ class TestDot:
         assert "l1_t1" in text and "l1_t9" in text
         assert "g0x" in text or "g1x" in text  # synthetic grid points
         assert '->' in text
+
+    def test_points_are_named_from_the_dataset_rows(self, single_clause):
+        # the nine bundles (six purchases plus three auxiliary ones) take
+        # their slot names; the other 45 points are named by z- and o-part
+        ds = reduce_formula(single_clause)
+        grid = build_grid(ds)
+        slots = bundle_slots(ds, grid)
+        assert sorted(slots.values()) == list(range(1, 10))
+        text = to_dot(ds, grid, revealed_relation(ds, grid, "strict"))
+        nodes = [line.strip().rstrip(";") for line in text.splitlines()
+                 if line.endswith(";") and "->" not in line]
+        assert nodes == [f"l1_t{slots[j]}" if j in slots
+                         else f"g{grid.pt_z[j]}x{grid.pt_o[j]}"
+                         for j in range(54)]

@@ -89,6 +89,18 @@ class TestDecide:
             assert len(build_grid(spread).z_parts) == nz
             assert decide(spread, method="auto").stats["method"] == method
 
+    def test_data_without_bundles_is_rationalizable(self):
+        # the empty grid leaves nothing to order, so both deciders accept
+        # with an empty witness
+        ds = Dataset(n_z=2, n_o=7, observations=(), evaluation_points=())
+        grid = build_grid(ds)
+        for method in ("auto", "cegar"):
+            verdict = decide(ds, tie_mode="strict", method=method)
+            assert verdict.rationalizable
+            assert verdict.stats["grid"] == "full-product"
+            assert verdict.witness.u_order == verdict.witness.v_order == ()
+            assert verify_witness(ds, grid, verdict.witness, "strict").valid
+
     def test_deciders_agree_on_foreign_datasets(self):
         rng = random.Random(41)
         for _ in range(60):
