@@ -138,6 +138,17 @@ def cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+def _budget(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seprat",
@@ -146,11 +157,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
+    budget = argparse.ArgumentParser(add_help=False)
+    budget.add_argument("--budget", type=_budget, default=None, metavar="N",
+                        help="conflict budget for the SAT engine, N >= 0")
+    common = argparse.ArgumentParser(add_help=False, parents=[budget])
     common.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
     common.add_argument("--method", choices=("auto", "cegar"), default="auto")
-    common.add_argument("--budget", type=int, default=None,
-                        help="conflict budget for the SAT engine")
 
     p = sub.add_parser("reduce", help="compile a DIMACS file into a dataset")
     p.add_argument("cnf")
@@ -168,9 +180,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="exit 3 when not rationalizable")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("sat", help="solve a 3SAT file with the CDCL engine")
+    p = sub.add_parser("sat", parents=[budget],
+                       help="solve a 3SAT file with the CDCL engine")
     p.add_argument("cnf")
-    p.add_argument("--budget", type=int, default=None)
     p.add_argument("--exit-code", action="store_true")
     p.set_defaults(func=cmd_sat)
 

@@ -70,8 +70,9 @@ def parse_dimacs(text: str) -> CnfFormula:
     """Parse the "p cnf I L" dialect with 0-terminated clauses.
 
     Comment lines (leading "c") and blank lines are allowed anywhere; a
-    clause may span lines.  Header counts are validated against the body,
-    and errors carry the offending line number.
+    clause may span lines.  Header counts and literals are ASCII integers
+    (`[+-]?[0-9]+`), header counts are validated against the body, and
+    errors carry the offending line number.
     """
     header: tuple[int, int] | None = None
     clauses: list[Clause] = []
@@ -81,6 +82,10 @@ def parse_dimacs(text: str) -> CnfFormula:
         line = raw.strip()
         if not line or line[0] == "c":
             continue
+        if not line.isascii() or "_" in line:
+            # int() would read digit separators and non-ASCII digits
+            raise DimacsError(
+                f"non-ASCII character or '_' in {line!r}", lineno)
         if line[0] == "p":
             if header is not None:
                 raise DimacsError("duplicate header", lineno)

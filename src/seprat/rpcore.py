@@ -173,6 +173,52 @@ def find_cycle_in_adjacency(adjacency: list) -> list | None:
     return None
 
 
+def strongly_connected_components(adjacency: list) -> list:
+    """Component label per node, via iterative Tarjan.
+
+    Labels count up in the order components complete, which is a reverse
+    topological order of the condensation.
+    """
+    n = len(adjacency)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    stack = []
+    counter = labels = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        work = [(root, 0)]
+        while work:
+            node, ptr = work[-1]
+            if ptr < len(adjacency[node]):
+                work[-1] = (node, ptr + 1)
+                nxt = adjacency[node][ptr]
+                if index[nxt] < 0:
+                    index[nxt] = low[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    work.append((nxt, 0))
+                elif comp[nxt] < 0:  # visited and still on the stack
+                    low[node] = min(low[node], index[nxt])
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[node])
+            if low[node] == index[node]:
+                while True:
+                    member = stack.pop()
+                    comp[member] = labels
+                    if member == node:
+                        break
+                labels += 1
+    return comp
+
+
 def topological_order(adjacency: list) -> list | None:
     """Kahn's algorithm with a lowest-index tie-break; None if cyclic."""
     n = len(adjacency)

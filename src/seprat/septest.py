@@ -18,13 +18,18 @@ returned.
 
 Two deciders share these semantics: an order-enumeration brute force for
 small grids, and a lazy SAT encoding that learns a blocking clause from
-each cycle found (counterexample-guided refinement).
+each cycle found (counterexample-guided refinement).  The refinement
+loop searches cycles per component of the envelope, the graph of every
+edge that some u-order could admit, because no cycle leaves one; each
+blocking clause comes from the cycle with the fewest order-gated edges
+through a gated edge of the cycle found.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
+from collections import deque
 from dataclasses import dataclass
 
 from . import cnf as cnf_mod
@@ -32,7 +37,8 @@ from . import satcore
 from .numerics import dominates
 from .reduction import Dataset, base_points
 from .rpcore import (Grid, build_grid, find_cycle_in_adjacency,
-                     revealed_relation, topological_order)
+                     revealed_relation, strongly_connected_components,
+                     topological_order)
 
 log = logging.getLogger(__name__)
 
@@ -132,15 +138,6 @@ class _Arena:
     def respects_dominance(self, rank: list) -> bool:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
 
-    def classify(self, src: int, dst: int) -> tuple | None:
-        """Order condition behind an edge of a cycle; None if unconditional.
-
-        Every edge outside the frozen set joins two distinct z-parts.
-        """
-        if dst in self.fixed[src]:
-            return None
-        return self.grid.pt_z[src], self.grid.pt_z[dst]
-
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
                       tie_mode: str = "weak") -> TestVerdict:
@@ -202,9 +199,21 @@ def _cegar_search(arena: _Arena, extra_units=(),
     u_order is the accepted z-part order, best first, and v_order the
     topological order of the combined relation under it; both are None
     when every admissible order leaves a cycle.
+
+    Cycles are searched only inside the components of the envelope, the
+    graph of every edge any order could admit, since no cycle can leave
+    one.  Each blocking clause comes from the cycle with the fewest
+    order-gated edges through some gated edge of the cycle found.
     """
     if topological_order(arena.fixed) is None:
         return None, None, 0
+    comp = _envelope_components(arena)
+    frozen = [{d for d in dsts if comp[d] == comp[s]}
+              for s, dsts in enumerate(arena.fixed)]
+    inner_candidates = [(s, d, zs, zd)
+                        for s, d, zs, zd in arena.dom_candidates
+                        if comp[s] == comp[d]]
+    pt_z = arena.grid.pt_z
     nz = arena.nz
     var = _order_var_map(nz)
     units = list(arena.z_dom_pairs) + list(extra_units)
@@ -215,18 +224,25 @@ def _cegar_search(arena: _Arena, extra_units=(),
         if result.status == "unsat":
             return None, None, iterations
         rank = _rank_from_model(nz, var, result.model)
-        adj = arena.adjacency_under(rank)
-        order = topological_order(adj)
-        if order is not None:
-            perm = sorted(range(nz), key=lambda z: rank[z])
-            return tuple(perm), tuple(order), iterations
+        adj = [list(dsts) for dsts in frozen]
+        for pts in arena.columns.values():
+            chain = sorted(pts, key=lambda j: rank[pt_z[j]])
+            for s, d in zip(chain, chain[1:]):
+                adj[s].append(d)
+        for s, d, zs, zd in inner_candidates:
+            if rank[zs] < rank[zd]:
+                adj[s].append(d)
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
+        if cycle is None:
+            order = topological_order(arena.adjacency_under(rank))
+            perm = sorted(range(nz), key=lambda z: rank[z])
+            return tuple(perm), tuple(order), iterations
         conditions = []
-        for s, d in zip(cycle, cycle[1:] + cycle[:1]):
-            cond = arena.classify(s, d)
-            if cond is not None and cond not in conditions:
+        for s, d in _cycle_edges(_fewest_gated_cycle(adj, frozen, cycle)):
+            cond = (pt_z[s], pt_z[d])
+            if d not in frozen[s] and cond not in conditions:
                 conditions.append(cond)
         if not conditions:
             return None, None, iterations  # unconditional edges only
@@ -234,6 +250,60 @@ def _cegar_search(arena: _Arena, extra_units=(),
         iterations += 1
         log.debug("refinement %d: blocked %d order literals",
                   iterations, len(conditions))
+
+
+def _envelope_components(arena: _Arena) -> list:
+    """Component label per point in the envelope: the frozen edges, every
+    dominance candidate, and each o-column linked both ways, so that every
+    edge of the combined relation under any order joins one component.
+
+    Each o-column lies inside one component, so the components are those
+    of the graph between o-columns.
+    """
+    pt_o = arena.grid.pt_o
+    between = [set() for _ in arena.grid.o_parts]
+    for s, dsts in enumerate(arena.fixed):
+        between[pt_o[s]].update(pt_o[d] for d in dsts)
+    for s, d, _, _ in arena.dom_candidates:
+        between[pt_o[s]].add(pt_o[d])
+    column_comp = strongly_connected_components(
+        [sorted(dsts) for dsts in between])
+    return [column_comp[o] for o in pt_o]
+
+
+def _cycle_edges(cycle: list):
+    return zip(cycle, cycle[1:] + cycle[:1])
+
+
+def _fewest_gated_cycle(adj: list, frozen: list, cycle: list) -> list:
+    """The cycle with the fewest gated edges through one of `cycle`'s gated
+    edges (s, d): a 0-1 BFS from d back to s, where frozen edges weigh 0
+    and gated edges 1.  The first such edge wins ties."""
+    best, best_cost = cycle, None
+    for s, d in _cycle_edges(cycle):
+        if d in frozen[s]:
+            continue
+        dist, prev = {d: 0}, {}
+        queue = deque([d])
+        while queue:
+            node = queue.popleft()
+            if node == s:
+                break
+            for nxt in adj[node]:
+                gated = nxt not in frozen[node]
+                cost = dist[node] + gated
+                if cost < dist.get(nxt, cost + 1):
+                    dist[nxt], prev[nxt] = cost, node
+                    if gated:
+                        queue.append(nxt)
+                    else:
+                        queue.appendleft(nxt)
+        if best_cost is None or dist[s] < best_cost:
+            path = [s]
+            while path[-1] != d:
+                path.append(prev[path[-1]])
+            best, best_cost = path[::-1], dist[s]
+    return best
 
 
 def _rank_from_model(nz: int, var: dict, model: list) -> list:

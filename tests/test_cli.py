@@ -111,6 +111,18 @@ class TestTest:
         assert code == 4 and "budget" in err
 
 
+def test_negative_budget_is_a_usage_error(capsys, tmp_path, cnf_file):
+    dataset = tmp_path / "ds.json"
+    assert run(capsys, "reduce", cnf_file, "-o", str(dataset))[0] == 0
+    for command, path in (("test", str(dataset)), ("sat", cnf_file),
+                          ("verify", cnf_file)):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, path, "--budget", "-1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2, command
+        assert "--budget" in err and "Traceback" not in err
+
+
 class TestSat:
     def test_model_emitted(self, capsys, cnf_file):
         code, out, _ = run(capsys, "sat", cnf_file)
@@ -185,6 +197,8 @@ MALFORMED_DIMACS = {
     "unterminated clause": b"p cnf 3 1\n1 2 3\n",
     "clause count mismatch": b"p cnf 3 2\n1 2 3 0\n",
     "not utf-8": b"p cnf 3 1\n\xff\xfe 0\n",
+    "digit separator": b"p cnf 1_0 1\n1 2 3 0\n",
+    "non-ascii digit": "p cnf 3 1\n\u0661 2 3 0\n".encode(),
 }
 
 MALFORMED_DATASETS = {

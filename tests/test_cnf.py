@@ -47,6 +47,8 @@ class TestParse:
         ("p cnf 3 1\n1 2 0\n", "exactly 3"),
         ("p cnf 4 1\n1 2 3 4 0\n", "exactly 3"),
         ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "duplicate header"),
+        ("p cnf 1_0 1\n1 2 3 0\n", "line 1: non-ASCII character or '_'"),
+        ("p cnf 3 1\n\u0661 2 3 0\n", "line 2: non-ASCII character or '_'"),
     ])
     def test_rejections(self, text, fragment):
         with pytest.raises(DimacsError, match=fragment):

@@ -8,7 +8,8 @@ from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
 from seprat.rpcore import (GridError, GridPoint, build_grid,
                            find_cycle_in_adjacency, garp_check,
-                           revealed_relation, to_dot, topological_order)
+                           revealed_relation, strongly_connected_components,
+                           to_dot, topological_order)
 
 F = Fraction
 
@@ -177,6 +178,36 @@ class TestCycles:
                 for a in range(n):
                     for b in adjacency[a]:
                         assert pos[a] < pos[b]
+
+    def test_components_are_the_mutual_reachability_classes(self):
+        rng = random.Random(31)
+        for _ in range(200):
+            n = rng.randint(1, 12)
+            adjacency = [[] for _ in range(n)]
+            for _ in range(rng.randint(0, 24)):
+                a, b = rng.randrange(n), rng.randrange(n)
+                if a != b:
+                    adjacency[a].append(b)
+            reach = []
+            for start in range(n):
+                seen, stack = {start}, [start]
+                while stack:
+                    for nxt in adjacency[stack.pop()]:
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                reach.append(seen)
+            comp = strongly_connected_components(adjacency)
+            for a in range(n):
+                for b in range(n):
+                    assert (comp[a] == comp[b]) == \
+                        (b in reach[a] and a in reach[b])
+            # labels complete sinks first: every edge leaving a component
+            # points at a lower label
+            for a in range(n):
+                for b in adjacency[a]:
+                    assert comp[b] <= comp[a]
+            assert sorted(set(comp)) == list(range(len(set(comp))))
 
 
 class TestGarp:

@@ -9,10 +9,11 @@ from seprat import cnf
 from seprat.numerics import dominates
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, reduce_formula)
-from seprat.rpcore import GridPoint, build_grid, revealed_relation
+from seprat.rpcore import (GridPoint, build_grid, find_cycle_in_adjacency,
+                           revealed_relation)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
-                            WitnessConstructionError, decide,
-                            decide_bruteforce, decide_cegar,
+                            _envelope_components, WitnessConstructionError,
+                            decide, decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
@@ -438,6 +439,55 @@ def test_arena_edge_families_match_an_all_pairs_scan():
             always, candidates = _all_pairs_edge_families(ds, grid, tie)
             assert Counter(arena.always) == always
             assert Counter(arena.dom_candidates) == candidates
+
+
+def test_envelope_components_hold_every_cycle():
+    # the refinement loop searches cycles only among edges inside one
+    # envelope component; under any order that must find every cycle
+    rng = random.Random(37)
+    datasets = [reduce_formula(cnf.parse_dimacs(text))
+                for text in (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
+    datasets.append(reduce_formula(cnf.random_formula(rng, 5, 3)))
+    datasets += [random_foreign_dataset(rng) for _ in range(40)]
+    # two one-point levels: the only cycle runs through the dominance
+    # candidate between them, which no product grid can isolate
+    datasets.append(Dataset(
+        n_z=2, n_o=1,
+        observations=(Observation(x=(F(0), F(1), F(1)),
+                                  p=(F(1), F(10), F(1)), clause=2),),
+        evaluation_points=(EvaluationPoint(x=(F(2), F(0), F(2)),
+                                           clause=1),)))
+    for ds in datasets:
+        grid = build_grid(ds)
+        for tie in ("strict", "weak"):
+            arena = _Arena(ds, grid, tie)
+            comp = _envelope_components(arena)
+            for pts in arena.columns.values():
+                assert len({comp[j] for j in pts}) == 1
+            for _ in range(25):
+                perm = list(range(arena.nz))
+                rng.shuffle(perm)
+                rank = [0] * arena.nz
+                for pos, z in enumerate(perm):
+                    rank[z] = pos
+                full = arena.adjacency_under(rank)
+                inner = [sorted(d for d in dsts if comp[d] == comp[s])
+                         for s, dsts in enumerate(full)]
+                assert (find_cycle_in_adjacency(full) is None) == \
+                    (find_cycle_in_adjacency(inner) is None)
+
+
+def test_all_sign_patterns_refines_in_few_iterations(all_sign_patterns):
+    # the bounds need each blocking clause to come from a cycle with few
+    # order-gated edges; blocking the first cycle a DFS meets takes 88
+    # (strict) and 682 (weak) iterations
+    for mode in ("paper", "linear"):
+        ds = reduce_formula(all_sign_patterns, mode)
+        grid = build_grid(ds)
+        for tie, most in (("strict", 40), ("weak", 125)):
+            verdict = decide_cegar(ds, grid, tie)
+            assert not verdict.rationalizable
+            assert verdict.stats["iterations"] <= most, (mode, tie)
 
 
 def test_default_grid_agrees_with_full_product_on_foreign_data():
