@@ -2,8 +2,8 @@
 
 Machine-readable JSON goes to stdout; human diagnostics go to stderr.
 The grid follows from the data, and each verdict names it in `stats.grid`;
-`--method auto` lets `septest.decide` pick the decider by grid size, and
-`--method cegar` always refines.
+`test --method auto` lets `septest.decide` pick the decider by grid size,
+and `--method cegar` always refines.
 Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
 2 input error, 3 negative verdict when --exit-code is given, 4 resource
 budget exhausted.
@@ -115,7 +115,7 @@ def cmd_verify(args) -> int:
     formula = _load_formula(args.cnf)
     satisfiable = _solve(formula, args.budget).status == "sat"
     ds = reduction.reduce_formula(formula, args.offset_mode)
-    verdict = septest.decide(ds, tie_mode=args.tie_mode, method=args.method,
+    verdict = septest.decide(ds, tie_mode=args.tie_mode,
                              conflict_limit=args.budget)
     agree = satisfiable == verdict.rationalizable
     _emit({"satisfiable": satisfiable,
@@ -162,7 +162,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="conflict budget for the SAT engine, N >= 0")
     common = argparse.ArgumentParser(add_help=False, parents=[budget])
     common.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
-    common.add_argument("--method", choices=("auto", "cegar"), default="auto")
 
     p = sub.add_parser("reduce", help="compile a DIMACS file into a dataset")
     p.add_argument("cnf")
@@ -176,6 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("test", parents=[common],
                        help="decide separable rationalizability of a dataset")
     p.add_argument("dataset")
+    p.add_argument("--method", choices=("auto", "cegar"), default="auto")
     p.add_argument("--exit-code", action="store_true",
                    help="exit 3 when not rationalizable")
     p.set_defaults(func=cmd_test)

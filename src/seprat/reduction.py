@@ -261,19 +261,19 @@ def _offsets(mode: str, count: int, gc: GadgetConstants,
         raise ValueError(f"unknown offset mode {mode!r}")
     # C must beat |r_k . g - r_k . w_k| for every observation k and every
     # level-free grid point g, including cross pairings of z- and o-parts
-    # from different clause blocks.
+    # from different clause blocks.  Over that product of z- and o-costs
+    # the largest gap is reached at the extremes.
     spread = Fraction(0)
-    z_parts = [b[:Z_DIM] for g in gadgets for b in g.bundles.values()]
-    o_parts = list(_SLOT_O.values())
+    z_parts = set(b[:Z_DIM] for g in gadgets for b in g.bundles.values())
+    o_parts = set(_SLOT_O.values())
     for g in gadgets:
         for k in OBSERVED_SLOTS:
             price = g.prices[k]
             budget = dot(price, g.bundles[k])
-            z_costs = {zp: dot(price[:Z_DIM], zp) for zp in set(z_parts)}
-            o_costs = {op: dot(price[Z_DIM:], op) for op in set(o_parts)}
-            for zc in z_costs.values():
-                for oc in o_costs.values():
-                    spread = max(spread, abs(zc + oc - budget))
+            z_costs = [dot(price[:Z_DIM], zp) for zp in z_parts]
+            o_costs = [dot(price[Z_DIM:], op) for op in o_parts]
+            spread = max(spread, max(z_costs) + max(o_costs) - budget,
+                         budget - min(z_costs) - min(o_costs))
     big = 1 + spread
     return [l * big for l in range(1, count + 1)]
 

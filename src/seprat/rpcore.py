@@ -51,12 +51,11 @@ class Grid:
 class Edge:
     src: int
     dst: int
-    provenance: tuple  # ("obs", k): observation k reveals the edge
+    obs: int  # index of the observation that reveals the edge
 
 
 @dataclass
 class RevealedGraph:
-    node_count: int
     edges: list = field(default_factory=list)
 
 
@@ -122,7 +121,7 @@ def revealed_relation(ds: Dataset, grid: Grid,
     """
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
-    graph = RevealedGraph(len(grid.points))
+    graph = RevealedGraph()
     for k, obs in enumerate(ds.observations):
         z, o = tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])
         try:
@@ -139,7 +138,7 @@ def revealed_relation(ds: Dataset, grid: Grid,
                 continue
             cost = z_cost[grid.pt_z[j]] + o_cost[grid.pt_o[j]]
             if cost < budget or (tie_mode == "weak" and cost == budget):
-                graph.edges.append(Edge(src, j, ("obs", k)))
+                graph.edges.append(Edge(src, j, k))
     return graph
 
 
@@ -322,9 +321,6 @@ def to_dot(ds: Dataset, grid: Grid, graph: RevealedGraph) -> str:
     for name in names:
         lines.append(f'  {name};')
     for e in graph.edges:
-        label = e.provenance[0]
-        if label == "obs":
-            label = f"k{e.provenance[1]}"
-        lines.append(f'  {names[e.src]} -> {names[e.dst]} [label="{label}"];')
+        lines.append(f'  {names[e.src]} -> {names[e.dst]} [label="k{e.obs}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

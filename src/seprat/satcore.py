@@ -28,11 +28,14 @@ class BudgetExhausted(RuntimeError):
     """Conflict budget ran out before a verdict was reached."""
 
 
-def _check_clause(clause, var_count: int) -> None:
-    for lit in clause:
+def _checked(clause, var_count: int) -> list[int]:
+    """The clause as ints with repeated literals dropped, range-checked."""
+    cl = list(dict.fromkeys(int(l) for l in clause))
+    for lit in cl:
         if lit == 0 or abs(lit) > var_count:
             raise InstanceError(
                 f"literal {lit} out of range for {var_count} variables")
+    return cl
 
 
 @dataclass
@@ -43,8 +46,7 @@ class SatInstance:
     def __post_init__(self):
         if self.var_count < 0:
             raise InstanceError("negative variable count")
-        for cl in self.clauses:
-            _check_clause(cl, self.var_count)
+        self.clauses = [_checked(cl, self.var_count) for cl in self.clauses]
 
 
 @dataclass
@@ -78,27 +80,26 @@ class Solver:
         self.units: list[int] = []
         self.unsat = False
         for cl in instance.clauses:
-            self.add_clause(cl)
+            self._attach(list(cl))  # propagation reorders the solver's copy
 
     # -- clause database ------------------------------------------------
 
     def add_clause(self, clause) -> None:
-        raw = [int(l) for l in clause]
-        _check_clause(raw, self.n)
-        cl = list(dict.fromkeys(raw))  # repeated literals add nothing
+        self._attach(_checked(clause, self.n))
+
+    def _attach(self, cl: list[int]) -> int:
+        """Store a checked clause (no literal twice), then watch it, queue
+        it as a unit, or mark the solver unsat; returns its index."""
         self.clauses.append(cl)
+        ci = len(self.clauses) - 1
         if not cl:
             self.unsat = True
-            return
-        lits = set(cl)
-        if any(-l in lits for l in lits):
-            return  # tautology: never watched, always satisfied
-        if len(cl) == 1:
+        elif len(cl) == 1:
             self.units.append(cl[0])
-            return
-        ci = len(self.clauses) - 1
-        self.watches[self._widx(cl[0])].append(ci)
-        self.watches[self._widx(cl[1])].append(ci)
+        elif len(set(map(abs, cl))) == len(cl):  # tautologies stay unwatched
+            self.watches[self._widx(cl[0])].append(ci)
+            self.watches[self._widx(cl[1])].append(ci)
+        return ci
 
     def _widx(self, lit: int) -> int:
         return lit + self.n
@@ -249,13 +250,7 @@ class Solver:
                     return SatResult("unsat")
                 learned, back = self._analyze(confl)
                 self._backtrack(back)
-                self.clauses.append(learned)
-                ci = len(self.clauses) - 1
-                if len(learned) == 1:
-                    self.units.append(learned[0])
-                else:
-                    self.watches[self._widx(learned[0])].append(ci)
-                    self.watches[self._widx(learned[1])].append(ci)
+                ci = self._attach(learned)
                 self._enqueue(learned[0], ci if len(learned) > 1 else None)
                 self.act_inc /= _ACT_DECAY
             else:

@@ -31,6 +31,7 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cnf as cnf_mod
 from . import satcore
@@ -124,13 +125,43 @@ class _Arena:
                 if a != b and dominates(grid.z_parts[a], grid.z_parts[b]):
                     self.z_dom_pairs.append((a, b))
 
+    @cached_property
+    def envelope(self) -> tuple:
+        """(component label per point, frozen successor sets, dominance
+        candidates) inside the components of the envelope: the frozen
+        edges, every candidate, and each o-column linked both ways.  Every
+        edge of the combined relation under any order joins one component,
+        so no cycle leaves one.
+
+        Each o-column lies inside one component, so the components are
+        those of the graph between o-columns.
+        """
+        pt_o = self.grid.pt_o
+        between = [set() for _ in self.grid.o_parts]
+        for s, dsts in enumerate(self.fixed):
+            between[pt_o[s]].update(pt_o[d] for d in dsts)
+        for s, d, _, _ in self.dom_candidates:
+            between[pt_o[s]].add(pt_o[d])
+        column_comp = strongly_connected_components(
+            [sorted(dsts) for dsts in between])
+        comp = [column_comp[o] for o in pt_o]
+        frozen = [{d for d in dsts if comp[d] == comp[s]}
+                  for s, dsts in enumerate(self.fixed)]
+        candidates = [(s, d, zs, zd) for s, d, zs, zd in self.dom_candidates
+                      if comp[s] == comp[d]]
+        return comp, frozen, candidates
+
     def adjacency_under(self, rank: list) -> list:
-        adj = [list(dsts) for dsts in self.fixed]
+        """The combined relation under `rank`."""
+        return self._graph(self.fixed, self.dom_candidates, rank)
+
+    def _graph(self, frozen: list, candidates: list, rank: list) -> list:
+        adj = [list(dsts) for dsts in frozen]
         for pts in self.columns.values():
             chain = sorted(pts, key=lambda j: rank[self.grid.pt_z[j]])
             for s, d in zip(chain, chain[1:]):
                 adj[s].append(d)
-        for s, d, zs, zd in self.dom_candidates:
+        for s, d, zs, zd in candidates:
             if rank[zs] < rank[zd]:
                 adj[s].append(d)
         return adj
@@ -200,19 +231,14 @@ def _cegar_search(arena: _Arena, extra_units=(),
     topological order of the combined relation under it; both are None
     when every admissible order leaves a cycle.
 
-    Cycles are searched only inside the components of the envelope, the
-    graph of every edge any order could admit, since no cycle can leave
-    one.  Each blocking clause comes from the cycle with the fewest
-    order-gated edges through some gated edge of the cycle found.
+    Cycles are searched only inside the envelope's components.  Each
+    blocking clause comes from the cycle with the fewest order-gated edges
+    through some gated edge of the cycle found; since the frozen edges
+    alone are acyclic, every cycle has one.
     """
     if topological_order(arena.fixed) is None:
         return None, None, 0
-    comp = _envelope_components(arena)
-    frozen = [{d for d in dsts if comp[d] == comp[s]}
-              for s, dsts in enumerate(arena.fixed)]
-    inner_candidates = [(s, d, zs, zd)
-                        for s, d, zs, zd in arena.dom_candidates
-                        if comp[s] == comp[d]]
+    _, frozen, candidates = arena.envelope
     pt_z = arena.grid.pt_z
     nz = arena.nz
     var = _order_var_map(nz)
@@ -224,14 +250,7 @@ def _cegar_search(arena: _Arena, extra_units=(),
         if result.status == "unsat":
             return None, None, iterations
         rank = _rank_from_model(nz, var, result.model)
-        adj = [list(dsts) for dsts in frozen]
-        for pts in arena.columns.values():
-            chain = sorted(pts, key=lambda j: rank[pt_z[j]])
-            for s, d in zip(chain, chain[1:]):
-                adj[s].append(d)
-        for s, d, zs, zd in inner_candidates:
-            if rank[zs] < rank[zd]:
-                adj[s].append(d)
+        adj = arena._graph(frozen, candidates, rank)
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
@@ -244,31 +263,10 @@ def _cegar_search(arena: _Arena, extra_units=(),
             cond = (pt_z[s], pt_z[d])
             if d not in frozen[s] and cond not in conditions:
                 conditions.append(cond)
-        if not conditions:
-            return None, None, iterations  # unconditional edges only
         solver.add_clause([-var[c] for c in conditions])
         iterations += 1
         log.debug("refinement %d: blocked %d order literals",
                   iterations, len(conditions))
-
-
-def _envelope_components(arena: _Arena) -> list:
-    """Component label per point in the envelope: the frozen edges, every
-    dominance candidate, and each o-column linked both ways, so that every
-    edge of the combined relation under any order joins one component.
-
-    Each o-column lies inside one component, so the components are those
-    of the graph between o-columns.
-    """
-    pt_o = arena.grid.pt_o
-    between = [set() for _ in arena.grid.o_parts]
-    for s, dsts in enumerate(arena.fixed):
-        between[pt_o[s]].update(pt_o[d] for d in dsts)
-    for s, d, _, _ in arena.dom_candidates:
-        between[pt_o[s]].add(pt_o[d])
-    column_comp = strongly_connected_components(
-        [sorted(dsts) for dsts in between])
-    return [column_comp[o] for o in pt_o]
 
 
 def _cycle_edges(cycle: list):
@@ -380,10 +378,9 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     base = revealed_relation(ds, grid, tie_mode)
     for e in base.edges:
         if vrank[e.src] > vrank[e.dst]:
-            k = e.provenance[1]
             return WitnessCheck(
                 False, f"v-order puts an affordable point above the chosen "
-                       f"bundle of observation {k}")
+                       f"bundle of observation {e.obs}")
 
     o_dom = [[dominates(oa, ob) for ob in grid.o_parts]
              for oa in grid.o_parts]

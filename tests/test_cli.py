@@ -1,12 +1,15 @@
 import argparse
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 import traceback
 
 import pytest
 
-from seprat import cli, cnf, reduction, septest
+from seprat import __version__, cli, cnf, reduction, septest
 from seprat.reduction import dataset_from_json
 from tests.conftest import ALL_SIGN_PATTERNS, SINGLE_CLAUSE
 
@@ -308,11 +311,28 @@ def test_option_sets_are_pinned():
                            "--positive-prices"},
         "test": help_ | {"--tie-mode", "--method", "--budget", "--exit-code"},
         "sat": help_ | {"--budget", "--exit-code"},
-        "verify": help_ | {"--tie-mode", "--method", "--budget",
-                           "--offset-mode"},
+        "verify": help_ | {"--tie-mode", "--budget", "--offset-mode"},
         "export-dot": help_ | {"--tie-mode", "-o", "--output"},
     }
-    for name in ("test", "verify"):
-        method = next(a for a in commands[name]._actions
-                      if "--method" in a.option_strings)
-        assert set(method.choices) == {"auto", "cegar"}
+    method = next(a for a in commands["test"]._actions
+                  if "--method" in a.option_strings)
+    assert set(method.choices) == {"auto", "cegar"}
+
+
+def run_module(*argv):
+    """`python -m seprat` in a child process, with the package on the path."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, "-m", "seprat", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_module_entry_point(tmp_path, cnf_file):
+    proc = run_module("--version")
+    assert proc.returncode == 0 and proc.stdout.strip() == __version__
+    proc = run_module("sat", cnf_file)
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["status"] == "sat"
+    proc = run_module("sat", str(tmp_path / "missing.cnf"))
+    assert proc.returncode == 2
+    assert "error" in proc.stderr and "Traceback" not in proc.stderr

@@ -11,6 +11,7 @@ from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, OBSERVED_SLOTS,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
+from tests.conftest import SINGLE_CLAUSE, SLOT_CONFLICT
 
 F = Fraction
 ONES = (F(1), F(1))
@@ -263,6 +264,30 @@ class TestReduce:
         ds = reduce_formula(f, "linear")
         offs = sorted({o.x[-1] for o in ds.observations})
         assert offs[1] == 2 * offs[0] and offs[2] == 3 * offs[0]
+
+    @pytest.mark.parametrize("formula", [
+        SINGLE_CLAUSE, SLOT_CONFLICT,
+        cnf.random_formula(random.Random(5), 7, 5),
+        cnf.random_formula(random.Random(6), 7, 5)],
+        ids=["single-clause", "slot-conflict", "random-a", "random-b"])
+    def test_linear_spread_matches_every_pair(self, formula):
+        # oracle: the exhaustive loop over z-part and o-part pairings
+        f = cnf.parse_dimacs(formula) if isinstance(formula, str) else formula
+        bp = base_points(f.var_count)
+        gc = compute_epsilon_M(bp)
+        gadgets = [build_clause_gadget(c, bp, gc) for c in f.clauses]
+        z_parts = {b[:2] for g in gadgets for b in g.bundles.values()}
+        o_parts = {b[2:] for g in gadgets for b in g.bundles.values()}
+        spread = F(0)
+        for g in gadgets:
+            for k in OBSERVED_SLOTS:
+                price, budget = g.prices[k], dot(g.prices[k], g.bundles[k])
+                for z in z_parts:
+                    for o in o_parts:
+                        spread = max(spread, abs(dot(price, z + o) - budget))
+        offsets = reduction._offsets("linear", len(gadgets), gc, gadgets)
+        assert offsets == [l * (1 + spread)
+                           for l in range(1, len(gadgets) + 1)]
 
     def test_deterministic(self, single_clause):
         assert dataset_to_json(reduce_formula(single_clause)) == \

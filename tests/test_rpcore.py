@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
+from seprat.numerics import dot
 from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
 from seprat.rpcore import (GridError, GridPoint, build_grid,
@@ -130,11 +131,20 @@ class TestRevealedRelation:
         graph = revealed_relation(ds, build_grid(ds), "weak")
         assert graph.edges == []
 
-    def test_edge_provenance_names_the_observation(self, single_clause):
+    def test_edge_names_the_observation_that_reveals_it(self, single_clause):
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
-        graph = revealed_relation(ds, grid, "strict")
-        assert all(e.provenance[0] == "obs" for e in graph.edges)
+        for tie_mode in ("strict", "weak"):
+            graph = revealed_relation(ds, grid, tie_mode)
+            assert graph.edges
+            for e in graph.edges:
+                obs = ds.observations[e.obs]
+                assert grid.points[e.src] == GridPoint(
+                    tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:]))
+                dst = grid.points[e.dst]
+                cost, budget = dot(obs.p, dst.z + dst.o), dot(obs.p, obs.x)
+                assert cost < budget or (tie_mode == "weak"
+                                         and cost == budget)
 
 
 class TestCycles:

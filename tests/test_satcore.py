@@ -80,9 +80,12 @@ class TestIncremental:
         inst = SatInstance(3, [[3], [1, 2, 3]])
         solver = Solver(inst)
         assert solver.solve().status == "sat"
+        # the solver reorders literals in its own clause lists only
+        assert inst.clauses == [[3], [1, 2, 3]]
         solver.add_clause([-3])
+        assert inst.clauses == [[3], [1, 2, 3]]
         assert solver.solve().status == "unsat"
-        assert len(inst.clauses) == 2  # the instance itself is untouched
+        assert inst.clauses == [[3], [1, 2, 3]]
 
     def test_duplicate_clause_keeps_verdict(self):
         inst = SatInstance(2, [[1, 2], [-1, 2]])

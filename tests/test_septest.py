@@ -12,8 +12,8 @@ from seprat.reduction import (Dataset, EvaluationPoint, Observation,
 from seprat.rpcore import (GridPoint, build_grid, find_cycle_in_adjacency,
                            revealed_relation)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
-                            _envelope_components, WitnessConstructionError,
-                            decide, decide_bruteforce, decide_cegar,
+                            WitnessConstructionError, decide,
+                            decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
@@ -461,7 +461,7 @@ def test_envelope_components_hold_every_cycle():
         grid = build_grid(ds)
         for tie in ("strict", "weak"):
             arena = _Arena(ds, grid, tie)
-            comp = _envelope_components(arena)
+            comp, frozen, candidates = arena.envelope
             for pts in arena.columns.values():
                 assert len({comp[j] for j in pts}) == 1
             for _ in range(25):
@@ -473,6 +473,8 @@ def test_envelope_components_hold_every_cycle():
                 full = arena.adjacency_under(rank)
                 inner = [sorted(d for d in dsts if comp[d] == comp[s])
                          for s, dsts in enumerate(full)]
+                assert [set(d) for d in inner] == \
+                    [set(d) for d in arena._graph(frozen, candidates, rank)]
                 assert (find_cycle_in_adjacency(full) is None) == \
                     (find_cycle_in_adjacency(inner) is None)
 
