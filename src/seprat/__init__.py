@@ -15,7 +15,6 @@ from .numerics import (  # noqa: F401
     dot,
     format_rational,
     parse_rational,
-    rvector,
 )
 from .cnf import (  # noqa: F401
     Clause,

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
@@ -37,14 +37,6 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Fraction | int) -> str:
     return str(Fraction(value))
-
-
-def rvector(entries: Iterable) -> tuple[Fraction, ...]:
-    """Build a vector of exact rationals (accepts ints, Fractions, strings)."""
-    out = []
-    for e in entries:
-        out.append(parse_rational(e) if isinstance(e, str) else Fraction(e))
-    return tuple(out)
 
 
 def _check_dims(x: Sequence, y: Sequence) -> None:

@@ -1,18 +1,22 @@
 """Small complete SAT solver: watched-literal CDCL with first-UIP learning.
 
-The solver is fully deterministic: branching picks the unassigned variable
-with the highest activity, breaking ties toward the lowest index, and
-always tries False first.  There are no restarts and no randomness, so the
-same instance always produces the same verdict and the same model.
+A `SatInstance` is frozen: its clauses are tuples of int literals, checked
+once on construction, and the solver trusts them.  The solver keeps one
+value array, `vals[lit + n]`: 1 when `lit` is true, -1 when it is false and
+0 when it is free; every assignment and backtrack writes both polarities.
 
-A configurable conflict budget turns runaway searches into an explicit
-`BudgetExhausted` error instead of a wrong verdict.
+The search is deterministic: branching picks the free variable with the
+highest activity, breaking ties toward the lowest index, and always tries
+False first.  There are no restarts and no randomness, so the same instance
+always gives the same verdict, model and conflict count.  Every model is
+checked against every clause before it is returned, and a conflict budget
+turns a runaway search into `BudgetExhausted` instead of a wrong verdict.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
@@ -28,25 +32,34 @@ class BudgetExhausted(RuntimeError):
     """Conflict budget ran out before a verdict was reached."""
 
 
-def _checked(clause, var_count: int) -> list[int]:
-    """The clause as ints with repeated literals dropped, range-checked."""
-    cl = list(dict.fromkeys(int(l) for l in clause))
-    for lit in cl:
-        if lit == 0 or abs(lit) > var_count:
-            raise InstanceError(
-                f"literal {lit} out of range for {var_count} variables")
-    return cl
+def _checked(clause, var_count: int) -> tuple[int, ...]:
+    """The clause with repeated literals dropped, each an int (not a bool)
+    in 1..var_count or -var_count..-1."""
+    try:
+        lits = tuple(clause)
+    except TypeError:
+        raise InstanceError(f"clause {clause!r} is not a sequence") from None
+    for lit in lits:
+        if type(lit) is not int or lit == 0 or abs(lit) > var_count:
+            raise InstanceError(f"literal {lit!r} is not a nonzero int "
+                                f"within +-{var_count}")
+    return tuple(dict.fromkeys(lits))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SatInstance:
     var_count: int
-    clauses: list[list[int]] = field(default_factory=list)
+    clauses: tuple[tuple[int, ...], ...] = ()
 
     def __post_init__(self):
-        if self.var_count < 0:
-            raise InstanceError("negative variable count")
-        self.clauses = [_checked(cl, self.var_count) for cl in self.clauses]
+        n = self.var_count
+        if type(n) is not int or n < 0:
+            raise InstanceError(f"variable count {n!r} is not an int >= 0")
+        try:
+            clauses = tuple(_checked(cl, n) for cl in self.clauses)
+        except TypeError:
+            raise InstanceError("clauses must be a sequence") from None
+        object.__setattr__(self, "clauses", clauses)
 
 
 @dataclass
@@ -64,18 +77,19 @@ class Solver:
     """
 
     def __init__(self, instance: SatInstance, conflict_limit: int | None = None):
-        self.n = instance.var_count
+        n = self.n = instance.var_count
         self.conflict_limit = conflict_limit
         self.conflicts = 0
         self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * self.n + 1)]
-        self.assign: list[int] = [0] * (self.n + 1)  # 0 free, 1 true, -1 false
-        self.reason: list[int | None] = [None] * (self.n + 1)
-        self.level: list[int] = [0] * (self.n + 1)
+        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
+        # vals[lit + n] is 1 if lit is true, -1 if false, 0 if unassigned
+        self.vals: list[int] = [0] * (2 * n + 1)
+        self.reason: list[int | None] = [None] * (n + 1)
+        self.level: list[int] = [0] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
-        self.activity: list[float] = [0.0] * (self.n + 1)
+        self.activity: list[float] = [0.0] * (n + 1)
         self.act_inc = 1.0
         self.units: list[int] = []
         self.unsat = False
@@ -85,7 +99,7 @@ class Solver:
     # -- clause database ------------------------------------------------
 
     def add_clause(self, clause) -> None:
-        self._attach(_checked(clause, self.n))
+        self._attach(list(_checked(clause, self.n)))
 
     def _attach(self, cl: list[int]) -> int:
         """Store a checked clause (no literal twice), then watch it, queue
@@ -97,120 +111,123 @@ class Solver:
         elif len(cl) == 1:
             self.units.append(cl[0])
         elif len(set(map(abs, cl))) == len(cl):  # tautologies stay unwatched
-            self.watches[self._widx(cl[0])].append(ci)
-            self.watches[self._widx(cl[1])].append(ci)
+            self.watches[cl[0] + self.n].append(ci)
+            self.watches[cl[1] + self.n].append(ci)
         return ci
-
-    def _widx(self, lit: int) -> int:
-        return lit + self.n
-
-    def _value(self, lit: int) -> int:
-        v = self.assign[abs(lit)]
-        return v if lit > 0 else -v
 
     # -- trail ------------------------------------------------------------
 
     def _enqueue(self, lit: int, reason: int | None) -> None:
+        n = self.n
+        self.vals[n + lit] = 1
+        self.vals[n - lit] = -1
         var = abs(lit)
-        self.assign[var] = 1 if lit > 0 else -1
         self.reason[var] = reason
         self.level[var] = len(self.trail_lim)
         self.trail.append(lit)
 
     def _backtrack(self, target_level: int) -> None:
-        while len(self.trail_lim) > target_level:
-            bound = self.trail_lim.pop()
-            while len(self.trail) > bound:
-                lit = self.trail.pop()
-                self.assign[abs(lit)] = 0
-        self.qhead = min(self.qhead, len(self.trail))
+        trail, trail_lim = self.trail, self.trail_lim
+        if len(trail_lim) > target_level:
+            bound = trail_lim[target_level]
+            vals, n = self.vals, self.n
+            for lit in trail[bound:]:
+                vals[n + lit] = vals[n - lit] = 0
+            del trail[bound:], trail_lim[target_level:]
+        self.qhead = min(self.qhead, len(trail))
 
     # -- propagation -------------------------------------------------------
 
     def _propagate(self) -> int | None:
         """Propagate watched literals; returns a conflicting clause index."""
-        while self.qhead < len(self.trail):
-            lit = self.trail[self.qhead]
-            self.qhead += 1
-            neg = -lit
-            ws = self.watches[self._widx(neg)]
+        n, vals, trail = self.n, self.vals, self.trail
+        clauses, watches = self.clauses, self.watches
+        reason, level, cur_level = self.reason, self.level, len(self.trail_lim)
+        qhead = self.qhead
+        while qhead < len(trail):
+            neg = -trail[qhead]
+            qhead += 1
+            ws = watches[n + neg]
+            end = len(ws)  # moved watches go to free or true literals, not here
             i = j = 0
-            while i < len(ws):
+            while i < end:
                 ci = ws[i]
                 i += 1
-                cl = self.clauses[ci]
+                cl = clauses[ci]
                 if cl[0] == neg:
                     cl[0], cl[1] = cl[1], cl[0]
-                if self._value(cl[0]) > 0:
+                first = cl[0]
+                if vals[n + first] > 0:
                     ws[j] = ci
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(cl)):
-                    if self._value(cl[k]) >= 0:
+                    if vals[n + cl[k]] >= 0:
                         cl[1], cl[k] = cl[k], cl[1]
-                        self.watches[self._widx(cl[1])].append(ci)
-                        moved = True
+                        watches[n + cl[1]].append(ci)
                         break
-                if moved:
-                    continue
-                ws[j] = ci
-                j += 1
-                if self._value(cl[0]) < 0:
-                    while i < len(ws):
-                        ws[j] = ws[i]
-                        i += 1
-                        j += 1
-                    del ws[j:]
-                    return ci
-                self._enqueue(cl[0], ci)
-            del ws[j:]
+                else:
+                    ws[j] = ci
+                    j += 1
+                    if vals[n + first] < 0:
+                        del ws[j:i]
+                        self.qhead = qhead
+                        return ci
+                    vals[n + first] = 1
+                    vals[n - first] = -1
+                    var = first if first > 0 else -first
+                    reason[var] = ci
+                    level[var] = cur_level
+                    trail.append(first)
+            del ws[j:end]
+        self.qhead = qhead
         return None
 
     # -- conflict analysis ---------------------------------------------
 
-    def _bump(self, var: int) -> None:
-        self.activity[var] += self.act_inc
-        if self.activity[var] > _ACT_RESCALE:
-            for v in range(1, self.n + 1):
-                self.activity[v] /= _ACT_RESCALE
-            self.act_inc /= _ACT_RESCALE
-
     def _analyze(self, confl: int) -> tuple[list[int], int]:
         """First-UIP learned clause and the backjump level."""
+        n, trail, level, activity = self.n, self.trail, self.level, self.activity
+        inc = self.act_inc
         cur_level = len(self.trail_lim)
-        seen = [False] * (self.n + 1)
+        seen = [False] * (n + 1)
         learned: list[int] = []
         counter = 0
-        idx = len(self.trail) - 1
+        idx = len(trail) - 1
         reason_lits = self.clauses[confl]
-        uip = None
         while True:
             for q in reason_lits:
-                v = abs(q)
-                if not seen[v] and self.level[v] > 0:
+                v = q if q > 0 else -q
+                if not seen[v] and level[v] > 0:
                     seen[v] = True
-                    self._bump(v)
-                    if self.level[v] == cur_level:
+                    activity[v] += inc
+                    if activity[v] > _ACT_RESCALE:
+                        for u in range(1, n + 1):
+                            activity[u] /= _ACT_RESCALE
+                        inc /= _ACT_RESCALE
+                        self.act_inc = inc
+                    if level[v] == cur_level:
                         counter += 1
                     else:
                         learned.append(q)
-            while not seen[abs(self.trail[idx])]:
+            uip = trail[idx]
+            while not seen[uip if uip > 0 else -uip]:
                 idx -= 1
-            uip = self.trail[idx]
-            seen[abs(uip)] = False
+                uip = trail[idx]
+            v = uip if uip > 0 else -uip
+            seen[v] = False
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
-            reason_cl = self.clauses[self.reason[abs(uip)]]
-            reason_lits = reason_cl[1:]  # clause[0] is the literal it implied
+            # clause[0] is the literal the reason clause implied
+            reason_lits = self.clauses[self.reason[v]][1:]
         learned = [-uip] + learned
         if len(learned) == 1:
             back = 0
         else:
             # watch position 1 must sit at the backjump level
-            levels = [(self.level[abs(q)], k) for k, q in enumerate(learned[1:], 1)]
+            levels = [(level[abs(q)], k) for k, q in enumerate(learned[1:], 1)]
             back, kmax = max(levels)
             learned[1], learned[kmax] = learned[kmax], learned[1]
         return learned, back
@@ -218,12 +235,14 @@ class Solver:
     # -- search ----------------------------------------------------------
 
     def _pick_branch(self) -> int | None:
+        """The free variable of highest activity, lowest index first."""
+        n, vals, activity = self.n, self.vals, self.activity
         best = None
         best_act = -1.0
-        for v in range(1, self.n + 1):
-            if self.assign[v] == 0 and self.activity[v] > best_act:
+        for v in range(1, n + 1):
+            if vals[n + v] == 0 and activity[v] > best_act:
                 best = v
-                best_act = self.activity[v]
+                best_act = activity[v]
         return best
 
     def solve(self) -> SatResult:
@@ -231,8 +250,9 @@ class Solver:
             return SatResult("unsat")
         self._backtrack(0)
         self.qhead = 0
+        n, vals = self.n, self.vals
         for u in self.units:
-            val = self._value(u)
+            val = vals[n + u]
             if val < 0:
                 self.unsat = True
                 return SatResult("unsat")
@@ -256,15 +276,16 @@ class Solver:
             else:
                 var = self._pick_branch()
                 if var is None:
-                    model = [self.assign[v] > 0 for v in range(1, self.n + 1)]
+                    model = [x > 0 for x in vals[n + 1:]]
                     self._verify(model)
                     return SatResult("sat", model)
                 self.trail_lim.append(len(self.trail))
                 self._enqueue(-var, None)  # try False first
 
     def _verify(self, model: list[bool]) -> None:
+        true_lits = {v if b else -v for v, b in enumerate(model, 1)}
         for cl in self.clauses:
-            if cl and not any(model[abs(l) - 1] == (l > 0) for l in cl):
+            if cl and true_lits.isdisjoint(cl):
                 raise RuntimeError(f"internal error: model violates clause {cl}")
         log.debug("model verified against %d clauses", len(self.clauses))
 

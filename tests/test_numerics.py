@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from seprat.numerics import (DimensionMismatch, RationalFormatError,
-                             dominates, dot, format_rational, parse_rational,
-                             rvector)
+                             dominates, dot, format_rational, parse_rational)
 
 F = Fraction
 
@@ -99,7 +98,3 @@ def test_field_axioms(a, b, c):
     assert a * b == b * a
     assert (a + b) + c == a + (b + c)
     assert a * (b + c) == a * b + a * c
-
-
-def test_vector_helpers():
-    assert rvector(["1/2", 3, F(1, 4)]) == (F(1, 2), F(3), F(1, 4))

@@ -17,6 +17,17 @@ F = Fraction
 ONES = (F(1), F(1))
 
 
+def _pairing_gaps(gadgets):
+    """Oracle: over every pairing of a z-part with an o-part, the largest
+    overspend and the largest shortfall against each observed budget."""
+    z_parts = {b[:2] for g in gadgets for b in g.bundles.values()}
+    o_parts = {b[2:] for g in gadgets for b in g.bundles.values()}
+    gaps = [dot(g.prices[k], z + o) - dot(g.prices[k], g.bundles[k])
+            for g in gadgets for k in OBSERVED_SLOTS
+            for z in z_parts for o in o_parts]
+    return max(gaps), -min(gaps)
+
+
 class TestBasePoints:
     def test_variable_one_values(self):
         bp = base_points(1)
@@ -271,23 +282,30 @@ class TestReduce:
         cnf.random_formula(random.Random(6), 7, 5)],
         ids=["single-clause", "slot-conflict", "random-a", "random-b"])
     def test_linear_spread_matches_every_pair(self, formula):
-        # oracle: the exhaustive loop over z-part and o-part pairings
         f = cnf.parse_dimacs(formula) if isinstance(formula, str) else formula
         bp = base_points(f.var_count)
         gc = compute_epsilon_M(bp)
         gadgets = [build_clause_gadget(c, bp, gc) for c in f.clauses]
-        z_parts = {b[:2] for g in gadgets for b in g.bundles.values()}
-        o_parts = {b[2:] for g in gadgets for b in g.bundles.values()}
-        spread = F(0)
-        for g in gadgets:
-            for k in OBSERVED_SLOTS:
-                price, budget = g.prices[k], dot(g.prices[k], g.bundles[k])
-                for z in z_parts:
-                    for o in o_parts:
-                        spread = max(spread, abs(dot(price, z + o) - budget))
+        over, short = _pairing_gaps(gadgets)
         offsets = reduction._offsets("linear", len(gadgets), gc, gadgets)
-        assert offsets == [l * (1 + spread)
+        assert offsets == [l * (1 + max(over, short, 0))
                            for l in range(1, len(gadgets) + 1)]
+
+    def test_linear_spread_counts_the_cheapest_pairing(self):
+        # hand-made blocks whose observed bundles cost far more than the
+        # cheapest pairing of parts, so the spread is a shortfall
+        o_price = (F(1, 4),) + (F(0),) * 5
+        gadgets = [
+            reduction.ClauseGadget(
+                bundles={t: (z if t in OBSERVED_SLOTS else (F(0), F(0)))
+                         + reduction._SLOT_O[t] for t in range(1, 10)},
+                prices={k: (F(1), F(1)) + o_price for k in OBSERVED_SLOTS})
+            for z in ((F(4), F(4)), (F(3), F(5)))]
+        over, short = _pairing_gaps(gadgets)
+        assert (over, short) == (F(1, 4), F(33, 4))
+        gc = compute_epsilon_M(base_points(1))
+        assert reduction._offsets("linear", 2, gc, gadgets) == \
+            [1 + short, 2 * (1 + short)]
 
     def test_deterministic(self, single_clause):
         assert dataset_to_json(reduce_formula(single_clause)) == \

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import random
 
 import pytest
@@ -64,6 +66,12 @@ class TestSolve:
             if res.status == "sat":
                 check_model(inst.clauses, res.model)
 
+    def test_every_clause_is_checked_against_the_model(self):
+        solver = Solver(SatInstance(3, [[1], [2], [-1, 3]]))
+        solver._verify([True, True, True])
+        with pytest.raises(RuntimeError, match="violates clause"):
+            solver._verify([True, True, False])  # only the last clause fails
+
     def test_determinism(self):
         rng = random.Random(3)
         f = cnf.random_formula(rng, 8, 25)
@@ -75,17 +83,52 @@ class TestSolve:
         assert first.model == second.model
 
 
+# floats, bools and strings are not literals, even where int() takes them;
+# then zero, out-of-range literals and clauses that are not sequences
+HOSTILE_CLAUSES = [[2.7], [True, 2], ["3"], [-3.9], [1, None], [0], [4],
+                   [-4], 5, None]
+
+
+class TestInstance:
+    def test_clauses_are_frozen_tuples(self):
+        inst = SatInstance(3, [[1, 1, -2], [3]])
+        assert inst.clauses == ((1, -2), (3,))
+        with pytest.raises(AttributeError):
+            inst.clauses.append([5])
+        with pytest.raises(TypeError):
+            inst.clauses[0][0] = 5
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.clauses = [[5]]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            inst.var_count = 0
+        assert solve(inst).status == "sat"
+
+    @pytest.mark.parametrize("clause", HOSTILE_CLAUSES, ids=repr)
+    def test_hostile_clause_is_refused(self, clause):
+        with pytest.raises(InstanceError):
+            SatInstance(3, [[1], clause])
+
+    @pytest.mark.parametrize("var_count", [-1, 2.0, "3", True, None])
+    def test_hostile_variable_count_is_refused(self, var_count):
+        with pytest.raises(InstanceError):
+            SatInstance(var_count, [])
+
+    def test_clause_list_must_be_a_sequence(self):
+        with pytest.raises(InstanceError):
+            SatInstance(3, 7)
+
+
 class TestIncremental:
     def test_pinning_a_variable_flips_the_verdict(self):
         inst = SatInstance(3, [[3], [1, 2, 3]])
         solver = Solver(inst)
         assert solver.solve().status == "sat"
         # the solver reorders literals in its own clause lists only
-        assert inst.clauses == [[3], [1, 2, 3]]
+        assert inst.clauses == ((3,), (1, 2, 3))
         solver.add_clause([-3])
-        assert inst.clauses == [[3], [1, 2, 3]]
+        assert inst.clauses == ((3,), (1, 2, 3))
         assert solver.solve().status == "unsat"
-        assert inst.clauses == [[3], [1, 2, 3]]
+        assert inst.clauses == ((3,), (1, 2, 3))
 
     def test_duplicate_clause_keeps_verdict(self):
         inst = SatInstance(2, [[1, 2], [-1, 2]])
@@ -101,6 +144,13 @@ class TestIncremental:
     def test_out_of_range_literal(self):
         with pytest.raises(InstanceError):
             Solver(SatInstance(2, [])).add_clause([5])
+
+    @pytest.mark.parametrize("clause", HOSTILE_CLAUSES, ids=repr)
+    def test_hostile_clause_is_refused(self, clause):
+        solver = Solver(SatInstance(3, [[1, 2]]))
+        with pytest.raises(InstanceError):
+            solver.add_clause(clause)
+        assert solver.clauses == [[1, 2]]
 
     def test_solver_object_retains_state_between_calls(self):
         solver = Solver(SatInstance(3, [[1, 2, 3]]))
@@ -125,3 +175,41 @@ def test_budget_exhaustion_is_an_error_not_a_verdict():
     with pytest.raises(BudgetExhausted):
         solve(SatInstance(20, clauses), conflict_limit=3)
 
+
+
+# (seed, status, conflicts, learned clauses, sha256 of bytes(model)[:16])
+# for random 3SAT at 4.26 clauses per variable; any change to propagation,
+# learning or branching order moves some of them, and with them the
+# witnesses that the refinement loop derives from SAT models.
+PINNED_SEARCH = [
+    (0, "sat", 3, 3, "663e9feb2b83fc0c"), (1, "sat", 24, 24, "6402ccd3e3f0473a"),
+    (2, "sat", 0, 0, "6f831c97a81b115c"), (3, "sat", 4, 4, "841c1927c7a0617c"),
+    (4, "sat", 11, 11, "b2d5a9ce3085c2db"), (5, "sat", 18, 18, "3c1f2d07e0336c56"),
+    (6, "sat", 7, 7, "bb44822041d58bfc"), (7, "sat", 7, 7, "f0e1f6f15c80eb13"),
+    (8, "sat", 3, 3, "fd136a8b98f76566"), (9, "unsat", 40, 39, None),
+    (10, "unsat", 24, 23, None), (11, "unsat", 31, 30, None),
+    (12, "sat", 4, 4, "5433b43efeabbd60"), (13, "unsat", 21, 20, None),
+    (14, "unsat", 19, 18, None), (15, "sat", 29, 29, "5ff84d2a9fdc1f3d"),
+    (16, "unsat", 27, 26, None), (17, "sat", 4, 4, "11b91824e851ce11"),
+    (18, "unsat", 29, 28, None), (19, "sat", 24, 24, "4647294fb4693955"),
+    (20, "sat", 5, 5, "cc49ae18008f52fc"), (21, "unsat", 31, 30, None),
+    (22, "sat", 25, 25, "152f6acf3f1f892e"), (23, "sat", 2, 2, "4d2e1f91cefcee22"),
+    (24, "sat", 10, 10, "91d247143425807b"), (25, "unsat", 25, 24, None),
+    (26, "sat", 22, 22, "92593ce75cd8c8de"), (27, "unsat", 31, 30, None),
+    (28, "sat", 7, 7, "03bc18d316725385"), (29, "unsat", 26, 25, None),
+]
+
+
+@pytest.mark.parametrize("seed,status,conflicts,learned,digest", PINNED_SEARCH)
+def test_search_is_pinned(seed, status, conflicts, learned, digest):
+    rng = random.Random(seed)
+    var_count = rng.randint(30, 40)
+    f = cnf.random_formula(rng, var_count, round(4.26 * var_count))
+    inst = SatInstance(var_count, [c.to_ints() for c in f.clauses])
+    solver = Solver(inst)
+    res = solver.solve()
+    assert (res.status, solver.conflicts) == (status, conflicts)
+    assert len(solver.clauses) - len(inst.clauses) == learned
+    if status == "sat":
+        assert hashlib.sha256(bytes(res.model)).hexdigest()[:16] == digest
+        assert cnf.evaluate(f, dict(enumerate(res.model, 1)))
