@@ -1,8 +1,9 @@
 """Exact rational scalars, inner products and componentwise dominance.
 
-Every quantity in this package is a `fractions.Fraction`; nothing in the
-core ever touches floating point, so strict inequalities are decided
-exactly.  Vectors are plain tuples of Fractions.
+Data stays exact: every quantity is a `fractions.Fraction`, and nothing in
+the core touches floating point, so strict inequalities are decided
+exactly.  Vectors are plain tuples of Fractions; the witness checker
+compares integers scaled by common denominators instead.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Small complete SAT solver: watched-literal CDCL with first-UIP learning.
 
-A `SatInstance` is frozen: its clauses are tuples of int literals, checked
-once on construction, and the solver trusts them.  The solver keeps one
-value array, `vals[lit + n]`: 1 when `lit` is true, -1 when it is false and
-0 when it is free; every assignment and backtrack writes both polarities.
+A `SatInstance` is frozen: its clauses are int-literal tuples, checked once
+on construction (tautologies noted), and the solver trusts them.  The
+solver keeps one value array, `vals[lit + n]`: 1 when `lit` is true, -1
+when false, 0 when free; assignments and backtracks write both polarities.
 
 The search is deterministic: branching picks the free variable with the
 highest activity, breaking ties toward the lowest index, and always tries
@@ -16,7 +16,7 @@ turns a runaway search into `BudgetExhausted` instead of a wrong verdict.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
@@ -32,34 +32,45 @@ class BudgetExhausted(RuntimeError):
     """Conflict budget ran out before a verdict was reached."""
 
 
-def _checked(clause, var_count: int) -> tuple[int, ...]:
+def _checked(clause, var_count: int) -> tuple[tuple[int, ...], bool]:
     """The clause with repeated literals dropped, each an int (not a bool)
-    in 1..var_count or -var_count..-1."""
+    in 1..var_count or -var_count..-1, and whether it is a tautology."""
     try:
         lits = tuple(clause)
     except TypeError:
         raise InstanceError(f"clause {clause!r} is not a sequence") from None
+    tautology = False
     for lit in lits:
         if type(lit) is not int or lit == 0 or abs(lit) > var_count:
             raise InstanceError(f"literal {lit!r} is not a nonzero int "
                                 f"within +-{var_count}")
-    return tuple(dict.fromkeys(lits))
+        if -lit in lits:
+            tautology = True
+    return tuple(dict.fromkeys(lits)), tautology
 
 
 @dataclass(frozen=True)
 class SatInstance:
     var_count: int
     clauses: tuple[tuple[int, ...], ...] = ()
+    tautologies: frozenset = field(default=frozenset(), init=False,
+                                   repr=False, compare=False)
 
     def __post_init__(self):
         n = self.var_count
         if type(n) is not int or n < 0:
             raise InstanceError(f"variable count {n!r} is not an int >= 0")
+        clauses, tautologies = [], set()
         try:
-            clauses = tuple(_checked(cl, n) for cl in self.clauses)
+            for cl in self.clauses:
+                lits, tautology = _checked(cl, n)
+                if tautology:
+                    tautologies.add(len(clauses))
+                clauses.append(lits)
         except TypeError:
             raise InstanceError("clauses must be a sequence") from None
-        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "clauses", tuple(clauses))
+        object.__setattr__(self, "tautologies", frozenset(tautologies))
 
 
 @dataclass
@@ -93,24 +104,26 @@ class Solver:
         self.act_inc = 1.0
         self.units: list[int] = []
         self.unsat = False
-        for cl in instance.clauses:
-            self._attach(list(cl))  # propagation reorders the solver's copy
+        for ci, cl in enumerate(instance.clauses):
+            self._attach(list(cl), ci in instance.tautologies)
 
     # -- clause database ------------------------------------------------
 
     def add_clause(self, clause) -> None:
-        self._attach(list(_checked(clause, self.n)))
+        cl, tautology = _checked(clause, self.n)
+        self._attach(list(cl), tautology)
 
-    def _attach(self, cl: list[int]) -> int:
-        """Store a checked clause (no literal twice), then watch it, queue
-        it as a unit, or mark the solver unsat; returns its index."""
+    def _attach(self, cl: list[int], tautology: bool = False) -> int:
+        """Store a checked clause (a list without repeated literals, which
+        propagation reorders), then watch it unless it is a tautology,
+        queue it as a unit, or mark the solver unsat; returns its index."""
         self.clauses.append(cl)
         ci = len(self.clauses) - 1
         if not cl:
             self.unsat = True
         elif len(cl) == 1:
             self.units.append(cl[0])
-        elif len(set(map(abs, cl))) == len(cl):  # tautologies stay unwatched
+        elif not tautology:
             self.watches[cl[0] + self.n].append(ci)
             self.watches[cl[1] + self.n].append(ci)
         return ci

@@ -13,8 +13,8 @@ combined relation joins three edge families over grid points:
 
 An accepting run yields a witness: the u-order plus a topological order of
 the combined relation (the v-order), which together act as finite value
-tables for the two utility layers.  Witnesses are re-verified before being
-returned.
+tables for the two utility layers.  An integer checker that shares no
+code with the deciders re-verifies every witness before it is returned.
 
 Two deciders share these semantics: an order-enumeration brute force for
 small grids, and a lazy SAT encoding that learns a blocking clause from
@@ -29,17 +29,20 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from operator import ge, mul
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import dominates
+from .numerics import DimensionMismatch, dominates
 from .reduction import Dataset, base_points
-from .rpcore import (Grid, build_grid, find_cycle_in_adjacency,
-                     revealed_relation, strongly_connected_components,
-                     topological_order)
+from .rpcore import (TIE_MODES, Grid, GridPoint, RelationError, build_grid,
+                     find_cycle_in_adjacency, revealed_relation,
+                     strongly_connected_components, topological_order)
 
 log = logging.getLogger(__name__)
 
@@ -55,7 +58,7 @@ class WitnessConstructionError(RuntimeError):
     """No cycle-free order is compatible with the given truth assignment."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SeparabilityWitness:
     u_order: tuple      # z-part indices, best first
     v_order: tuple      # grid point indices, best first
@@ -63,7 +66,7 @@ class SeparabilityWitness:
     iterations: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TestVerdict:
     status: str         # "rationalizable" | "not-rationalizable"
     witness: SeparabilityWitness | None
@@ -74,7 +77,7 @@ class TestVerdict:
         return self.status == "rationalizable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WitnessCheck:
     valid: bool
     reason: str | None = None
@@ -347,15 +350,29 @@ def decide(ds: Dataset, tie_mode: str = "weak",
 
 # -- witness verification ----------------------------------------------------
 
+def _scaled(vectors: list) -> list:
+    """`vectors` as integer tuples over one common denominator."""
+    den = math.lcm(*(c.denominator for v in vectors for c in v))
+    return [tuple(c.numerator * (den // c.denominator) for c in v)
+            for v in vectors]
+
+
 def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                    tie_mode: str = "weak") -> WitnessCheck:
-    """Full check of both orders against every constraint family.
-
-    This path deliberately rebuilds all edges pairwise instead of reusing
-    the decider's chain shortcut, so the two sides stay independent.  The
-    o-part dominance table is computed once and indexed per point pair.
-    """
+    """Full check of both orders against every constraint family, on
+    integers and apart from the deciders' code: grid parts share one
+    denominator (scaled apart, z- and o-parts would skew each cost sum)
+    and each price has its own.  1-edges take one pass per observation;
+    2-edges hold when v-ranks rise along each o-column sorted by u-rank,
+    so a column's prefix maximum of v-rank is its last entry, and each
+    dominance edge needs one bisection into the dominating column."""
+    if tie_mode not in TIE_MODES:
+        raise RelationError(f"unknown tie mode {tie_mode!r}")
     nz, npts = len(grid.z_parts), len(grid.points)
+    parts = _scaled(grid.z_parts + grid.o_parts)
+    zs, os_ = parts[:nz], parts[nz:]
+    if len({len(v) for v in zs}) > 1 or len({len(v) for v in os_}) > 1:
+        raise DimensionMismatch("grid parts differ in length")
     if sorted(witness.u_order) != list(range(nz)):
         return WitnessCheck(False, "u-order is not a permutation of z-parts")
     if sorted(witness.v_order) != list(range(npts)):
@@ -367,38 +384,53 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     for pos, j in enumerate(witness.v_order):
         vrank[j] = pos
 
-    for a in range(nz):
-        for b in range(nz):
-            if a != b and dominates(grid.z_parts[a], grid.z_parts[b]) \
-                    and urank[a] > urank[b]:
+    for a, za in enumerate(zs):  # parts are distinct: >= means dominates
+        for b, zb in enumerate(zs):
+            if urank[a] > urank[b] and all(map(ge, za, zb)):
                 return WitnessCheck(
                     False, f"u-order inverts the dominated z-part pair "
                            f"({a}, {b})")
 
-    base = revealed_relation(ds, grid, tie_mode)
-    for e in base.edges:
-        if vrank[e.src] > vrank[e.dst]:
+    pt_z, pt_o = grid.pt_z, grid.pt_o
+    for k, obs in enumerate(ds.observations):
+        src = grid.point_index.get(
+            GridPoint(tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])))
+        if src is None:
+            raise RelationError(f"observation {k} bundle is not on the grid")
+        if len(obs.p) != len(obs.x):
+            raise DimensionMismatch(f"dimension {len(obs.p)} vs {len(obs.x)}")
+        p = _scaled([obs.p])[0]
+        z_cost = [sum(map(mul, p[:ds.n_z], z)) for z in zs]
+        o_cost = [sum(map(mul, p[ds.n_z:], o)) for o in os_]
+        budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
+        above = witness.v_order[:vrank[src]]
+        least = min([z_cost[pt_z[j]] + o_cost[pt_o[j]] for j in above],
+                    default=budget + 1)
+        if least < budget or (tie_mode == "weak" and least == budget):
             return WitnessCheck(
                 False, f"v-order puts an affordable point above the chosen "
-                       f"bundle of observation {e.obs}")
+                       f"bundle of observation {k}")
 
-    o_dom = [[dominates(oa, ob) for ob in grid.o_parts]
-             for oa in grid.o_parts]
-    for i in range(npts):
-        zi, oi = grid.pt_z[i], grid.pt_o[i]
-        for j in range(npts):
-            if vrank[i] <= vrank[j]:
-                continue  # no edge i -> j can be violated (includes i == j)
-            zj, oj = grid.pt_z[j], grid.pt_o[j]
-            if oi == oj:
-                if urank[zi] < urank[zj]:
-                    return WitnessCheck(
-                        False, f"v-order violates the order edge between "
-                               f"z-parts {zi} and {zj}")
-            elif o_dom[oi][oj] and (zi == zj or urank[zi] < urank[zj]):
+    columns = [[] for _ in os_]
+    for j in sorted(range(npts), key=lambda j: urank[pt_z[j]]):
+        columns[pt_o[j]].append(j)
+    for col in columns:
+        for s, d in zip(col, col[1:]):
+            if vrank[s] > vrank[d]:
                 return WitnessCheck(
-                    False, f"v-order violates the dominance edge from "
-                           f"point {i} to {j}")
+                    False, f"v-order violates the order edge between "
+                           f"z-parts {pt_z[s]} and {pt_z[d]}")
+    keys = [[urank[pt_z[j]] for j in col] for col in columns]
+    for a, oa in enumerate(os_):
+        for b, ob in enumerate(os_):
+            if a == b or not all(map(ge, oa, ob)):
+                continue
+            for j in columns[b]:
+                pos = bisect_right(keys[a], urank[pt_z[j]])
+                if pos and vrank[columns[a][pos - 1]] > vrank[j]:
+                    return WitnessCheck(
+                        False, f"v-order violates the dominance edge from "
+                               f"point {columns[a][pos - 1]} to {j}")
     return WitnessCheck(True, None)
 
 
@@ -454,8 +486,11 @@ def witness_to_json(witness: SeparabilityWitness) -> dict:
 
 
 def witness_from_json(doc: dict) -> SeparabilityWitness:
-    return SeparabilityWitness(
-        u_order=tuple(int(v) for v in doc["u_order"]),
-        v_order=tuple(int(v) for v in doc["v_order"]),
-        method=str(doc.get("method", "unknown")),
-        iterations=int(doc.get("iterations", 0)))
+    """Orders and iteration count must be JSON integers: a float, bool or
+    string is refused, naming its field, rather than coerced."""
+    u, v, its = doc["u_order"], doc["v_order"], doc.get("iterations", 0)
+    for key, values in (("u_order", u), ("v_order", v), ("iterations", [its])):
+        if not isinstance(values, list) or {type(x) for x in values} - {int}:
+            raise ValueError(f"witness {key} must hold JSON integers")
+    return SeparabilityWitness(tuple(u), tuple(v),
+                               str(doc.get("method", "unknown")), its)

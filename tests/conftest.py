@@ -4,7 +4,10 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
+from seprat.numerics import dominates
 from seprat.reduction import Dataset, EvaluationPoint, Observation
+from seprat.rpcore import Grid, revealed_relation
+from seprat.septest import SeparabilityWitness, WitnessCheck
 
 SINGLE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
 
@@ -56,3 +59,60 @@ def random_foreign_dataset(rng: random.Random, max_z_parts=6):
         z_parts |= {tuple(e.x[:n_z]) for e in evs}
         if len(z_parts) <= max_z_parts:
             return ds
+
+
+def pairwise_verify_witness(ds: Dataset, grid: Grid,
+                            witness: SeparabilityWitness,
+                            tie_mode: str = "weak") -> WitnessCheck:
+    """Full check of both orders against every constraint family, edge by
+    edge over Fractions: the oracle for `seprat.septest.verify_witness`.
+
+    This path deliberately rebuilds all edges pairwise instead of reusing
+    the decider's chain shortcut, so the two sides stay independent.  The
+    o-part dominance table is computed once and indexed per point pair.
+    """
+    nz, npts = len(grid.z_parts), len(grid.points)
+    if sorted(witness.u_order) != list(range(nz)):
+        return WitnessCheck(False, "u-order is not a permutation of z-parts")
+    if sorted(witness.v_order) != list(range(npts)):
+        return WitnessCheck(False, "v-order is not a permutation of grid points")
+    urank = [0] * nz
+    for pos, z in enumerate(witness.u_order):
+        urank[z] = pos
+    vrank = [0] * npts
+    for pos, j in enumerate(witness.v_order):
+        vrank[j] = pos
+
+    for a in range(nz):
+        for b in range(nz):
+            if a != b and dominates(grid.z_parts[a], grid.z_parts[b]) \
+                    and urank[a] > urank[b]:
+                return WitnessCheck(
+                    False, f"u-order inverts the dominated z-part pair "
+                           f"({a}, {b})")
+
+    base = revealed_relation(ds, grid, tie_mode)
+    for e in base.edges:
+        if vrank[e.src] > vrank[e.dst]:
+            return WitnessCheck(
+                False, f"v-order puts an affordable point above the chosen "
+                       f"bundle of observation {e.obs}")
+
+    o_dom = [[dominates(oa, ob) for ob in grid.o_parts]
+             for oa in grid.o_parts]
+    for i in range(npts):
+        zi, oi = grid.pt_z[i], grid.pt_o[i]
+        for j in range(npts):
+            if vrank[i] <= vrank[j]:
+                continue  # no edge i -> j can be violated (includes i == j)
+            zj, oj = grid.pt_z[j], grid.pt_o[j]
+            if oi == oj:
+                if urank[zi] < urank[zj]:
+                    return WitnessCheck(
+                        False, f"v-order violates the order edge between "
+                               f"z-parts {zi} and {zj}")
+            elif o_dom[oi][oj] and (zi == zj or urank[zi] < urank[zj]):
+                return WitnessCheck(
+                    False, f"v-order violates the dominance edge from "
+                           f"point {i} to {j}")
+    return WitnessCheck(True, None)

@@ -30,7 +30,7 @@ from seprat.septest import (decide, decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             WitnessConstructionError)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE,
-                            random_foreign_dataset)
+                            pairwise_verify_witness, random_foreign_dataset)
 
 CORPUS_SEED = 20260811
 OFFSET_MODES = ("paper", "linear")
@@ -147,15 +147,29 @@ def test_criterion_3_epsilon_m_contract():
     assert ok
 
 
+def both_checkers(ds, grid, witness) -> str | None:
+    """None when the integer checker and the pairwise oracle both accept
+    the witness, else the first rejection's reason."""
+    for check in (verify_witness, pairwise_verify_witness):
+        result = check(ds, grid, witness, TIE)
+        if not result.valid:
+            return f"{check.__name__}: {result.reason}"
+    return None
+
+
 def test_criterion_4_satisfiability_round_trip(roundtrip):
     records = roundtrip["records"]
     disagreements = [
         r for r in records
         if r["satisfiable"] != r["verdict"].rationalizable]
+    rejected = [r for r in records if r["verdict"].rationalizable
+                and both_checkers(r["dataset"], r["grid"],
+                                  r["verdict"].witness) is not None]
     elapsed = roundtrip["seconds"]
-    ok = not disagreements and elapsed <= 600
+    ok = not disagreements and not rejected and elapsed <= 600
     detail = (f"{len(records)} runs in {elapsed:.1f}s, "
-              f"{len(disagreements)} disagreements")
+              f"{len(disagreements)} disagreements, "
+              f"{len(rejected)} witnesses rejected by either checker")
     if disagreements:
         sample = sorted({(r["index"],
                           tuple(c.to_ints() for c in r["formula"].clauses))
@@ -169,11 +183,10 @@ def test_criterion_5_witness_soundness(roundtrip, corpus):
     failures = []
     for r in roundtrip["records"]:
         if r["verdict"].rationalizable:
-            check = verify_witness(r["dataset"], r["grid"],
-                                   r["verdict"].witness, TIE)
-            if not check.valid:
-                failures.append(("verdict", r["index"], r["mode"],
-                                 check.reason))
+            reason = both_checkers(r["dataset"], r["grid"],
+                                   r["verdict"].witness)
+            if reason is not None:
+                failures.append(("verdict", r["index"], r["mode"], reason))
 
     def assignments(formula):
         if formula is corpus[-2]:  # the named single clause: all of them
@@ -196,9 +209,9 @@ def test_criterion_5_witness_soundness(roundtrip, corpus):
             except WitnessConstructionError as exc:
                 failures.append(("assignment", idx, a, str(exc)))
                 continue
-            check = verify_witness(ds, grid, witness, TIE)
-            if not check.valid:
-                failures.append(("assignment", idx, a, check.reason))
+            reason = both_checkers(ds, grid, witness)
+            if reason is not None:
+                failures.append(("assignment", idx, a, reason))
     ok = not failures
     detail = f"{len(failures)} failures"
     if failures:

@@ -34,6 +34,15 @@ class TestSolve:
         res = solve(SatInstance(2, [[1, -1, 2], [-2, 1]]))
         assert res.status == "sat"
 
+    def test_tautologies_are_noted_once_and_never_watched(self):
+        inst = SatInstance(3, [[1, -1, 2], [-2, 1], [3, 3], [2, -3, -2]])
+        assert inst.tautologies == {0, 3}
+        solver = Solver(inst)
+        solver.add_clause([3, -3])
+        watched = {ci for lst in solver.watches for ci in lst}
+        assert watched == {1}
+        assert solver.solve().status == "sat"
+
     def test_duplicate_literals_in_clause(self):
         res = solve(SatInstance(2, [[1, 1, 2], [-1, -1]]))
         assert res.status == "sat"

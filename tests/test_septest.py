@@ -1,23 +1,26 @@
+import dataclasses
+import itertools
 import json
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from seprat import cnf
-from seprat.numerics import dominates
+from seprat.numerics import DimensionMismatch, dominates, dot
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, reduce_formula)
-from seprat.rpcore import (GridPoint, build_grid, find_cycle_in_adjacency,
-                           revealed_relation)
+from seprat.rpcore import (GridPoint, RelationError, build_grid,
+                           find_cycle_in_adjacency, revealed_relation)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
                             WitnessConstructionError, decide,
                             decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
-                            random_foreign_dataset)
+                            pairwise_verify_witness, random_foreign_dataset)
 
 F = Fraction
 
@@ -324,6 +327,212 @@ class TestVerifyWitness:
         bad_v = SeparabilityWitness(witness.u_order, (0,), "x", 0)
         assert not verify_witness(ds, grid, bad_v, "strict").valid
 
+    # One hand-made case per violation family.  Each witness breaks only
+    # its own family, so both checkers must name it whatever order they
+    # check the families in.
+    @staticmethod
+    def two_column_dataset(obs_x, obs_p, eval_x):
+        """n_z = 2, n_o = 1, full-product grid of two incomparable z-parts
+        and two o-parts; returns the dataset, grid and a point lookup."""
+        ds = Dataset(n_z=2, n_o=1,
+                     observations=(Observation(x=obs_x, p=obs_p),),
+                     evaluation_points=(EvaluationPoint(x=eval_x),))
+        grid = build_grid(ds)
+
+        def point(z, o):
+            return grid.point_index[GridPoint(z, (F(o),))]
+        return ds, grid, point
+
+    def assert_family(self, ds, grid, witness, tie_mode, reason):
+        for check in (verify_witness, pairwise_verify_witness):
+            result = check(ds, grid, witness, tie_mode)
+            assert not result.valid
+            assert reason in result.reason, (check.__name__, result.reason)
+
+    def test_one_edge_violation_names_the_observation(self):
+        a, b = (F(1), F(0)), (F(0), F(1))
+        ds, grid, pt = self.two_column_dataset(
+            (F(0), F(1), F(0)), (F(1), F(3), F(1)), (F(1), F(0), F(1)))
+        u = tuple(grid.z_parts.index(z) for z in (b, a))
+        good = (pt(b, 1), pt(b, 0), pt(a, 1), pt(a, 0))
+        assert verify_witness(ds, grid, SeparabilityWitness(
+            u, good, "x"), "strict").valid
+        # (b, 0) is chosen and (a, 1) costs 2 < 3, so it may not rank above
+        broken = (pt(b, 1), pt(a, 1), pt(b, 0), pt(a, 0))
+        self.assert_family(ds, grid, SeparabilityWitness(u, broken, "x"),
+                           "strict", "affordable point above the chosen "
+                                     "bundle of observation 0")
+
+    def order_and_dominance_case(self):
+        """Nothing is affordable under either tie mode; a and b are
+        incomparable and the u-order ranks a above b."""
+        a, b = (F(1), F(0)), (F(0), F(2))
+        ds, grid, pt = self.two_column_dataset(
+            (F(1), F(0), F(0)), (F(1), F(1), F(1)), (F(0), F(2), F(1)))
+        u = tuple(grid.z_parts.index(z) for z in (a, b))
+        good = (pt(a, 1), pt(b, 1), pt(a, 0), pt(b, 0))
+        for tie in ("strict", "weak"):
+            assert verify_witness(ds, grid, SeparabilityWitness(
+                u, good, "x"), tie).valid
+        return ds, grid, pt, u, a, b
+
+    def test_order_edge_violation_names_the_z_parts(self):
+        ds, grid, pt, u, a, b = self.order_and_dominance_case()
+        # (b, o) above (a, o) in both columns; dominance edges all hold
+        order = (pt(b, 1), pt(a, 1), pt(b, 0), pt(a, 0))
+        for tie in ("strict", "weak"):
+            self.assert_family(ds, grid, SeparabilityWitness(u, order, "x"),
+                               tie, "violates the order edge between")
+
+    def test_dominance_edge_violation_names_the_points(self):
+        ds, grid, pt, u, a, b = self.order_and_dominance_case()
+        # each o-column is in u-order, but o=1 must rank above o=0
+        order = (pt(a, 0), pt(b, 0), pt(a, 1), pt(b, 1))
+        for tie in ("strict", "weak"):
+            self.assert_family(ds, grid, SeparabilityWitness(u, order, "x"),
+                               tie, "violates the dominance edge from")
+
+    def test_z_dominance_violation_names_the_pair(self):
+        ds = Dataset(n_z=1, n_o=1,
+                     observations=(Observation(x=(F(2), F(0)),
+                                               p=(F(1), F(1))),),
+                     evaluation_points=(EvaluationPoint(x=(F(1), F(0))),))
+        grid = build_grid(ds)
+        upper, lower = (grid.z_parts.index((F(v),)) for v in (2, 1))
+        witness = SeparabilityWitness((lower, upper), (0, 1), "x")
+        self.assert_family(ds, grid, witness, "strict",
+                           f"dominated z-part pair ({upper}, {lower})")
+
+
+def _mutations(witness, rng):
+    """A random v-swap, an adjacent v-swap and an adjacent u-swap."""
+    def swapped(order, adjacent):
+        order = list(order)
+        if adjacent:
+            i = rng.randrange(len(order) - 1)
+            j = i + 1
+        else:
+            i, j = rng.sample(range(len(order)), 2)
+        order[i], order[j] = order[j], order[i]
+        return tuple(order)
+
+    u, v = witness.u_order, witness.v_order
+    out = []
+    if len(v) > 1:
+        out += [SeparabilityWitness(u, swapped(v, False), "mutated"),
+                SeparabilityWitness(u, swapped(v, True), "mutated")]
+    if len(u) > 1:
+        out.append(SeparabilityWitness(swapped(u, True), v, "mutated"))
+    return out
+
+
+class TestIntegerChecker:
+    """`verify_witness` against the pairwise checker it replaced
+    (`tests.conftest.pairwise_verify_witness`), kept as its oracle."""
+
+    @staticmethod
+    def assert_agreement(ds, grid, witness, rng):
+        """Both checkers on the witness and its mutations, in both tie
+        modes; returns how many candidates were rejected."""
+        rejected = 0
+        for candidate in [witness] + _mutations(witness, rng):
+            for tie in ("strict", "weak"):
+                new = verify_witness(ds, grid, candidate, tie).valid
+                old = pairwise_verify_witness(ds, grid, candidate, tie).valid
+                assert new == old, (tie, candidate)
+                rejected += not new
+        return rejected
+
+    def test_agrees_on_compiled_witnesses(self):
+        rng = random.Random(1212)
+        formulas = [cnf.parse_dimacs(SINGLE_CLAUSE),
+                    cnf.parse_dimacs(SLOT_CONFLICT)]
+        formulas += [cnf.random_formula(rng, L + 1, L) for L in (3, 4)]
+        witnesses = rejected = 0
+        for formula in formulas:
+            for mode in ("paper", "linear"):
+                ds = reduce_formula(formula, mode)
+                grid = build_grid(ds)
+                for tie in ("strict", "weak"):
+                    verdict = decide_cegar(ds, grid, tie)
+                    if verdict.rationalizable:
+                        witnesses += 1
+                        rejected += self.assert_agreement(
+                            ds, grid, verdict.witness, rng)
+        assert witnesses >= 8 and rejected > 0
+
+    def test_agrees_on_foreign_witnesses(self):
+        rng = random.Random(1213)
+        witnesses = rejected = 0
+        for _ in range(300):
+            ds = random_foreign_dataset(rng)
+            grid = build_grid(ds)
+            for tie in ("strict", "weak"):
+                verdict = decide(ds, tie_mode=tie)
+                if verdict.rationalizable:
+                    witnesses += 1
+                    rejected += self.assert_agreement(
+                        ds, grid, verdict.witness, rng)
+        assert witnesses >= 300 and rejected > 0
+
+    def test_agrees_on_every_order_over_mixed_denominators(self):
+        # z-parts in halves and o-parts in thirds: scaling them by separate
+        # factors would make (1/2, 1/3) and (0, 2/3) cost the same under
+        # the first price, dropping its strict 1-edge between them
+        ds = Dataset(n_z=1, n_o=1, observations=(
+            Observation(x=(F(1, 2), F(1, 3)), p=(F(2, 5), F(2, 5))),
+            Observation(x=(F(1, 2), F(2, 3)), p=(F(1, 3), F(1, 2)))),
+            evaluation_points=(EvaluationPoint(x=(F(0), F(2, 3))),))
+        grid = build_grid(ds)
+        counts = Counter()
+        for u in itertools.permutations(range(len(grid.z_parts))):
+            for v in itertools.permutations(range(len(grid.points))):
+                witness = SeparabilityWitness(u, v, "x")
+                for tie in ("strict", "weak"):
+                    new = verify_witness(ds, grid, witness, tie).valid
+                    assert new == pairwise_verify_witness(
+                        ds, grid, witness, tie).valid, (tie, witness)
+                    counts[tie, new] += 1
+        assert counts["strict", True] and counts["weak", True]
+
+    def test_needs_no_relation_dominance_or_dot(self, monkeypatch,
+                                                single_clause):
+        ds = reduce_formula(single_clause)
+        grid = build_grid(ds)
+        witness = decide_cegar(ds, grid, "strict").witness
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the checker reached the deciders' code")
+        for original in (revealed_relation, dominates, dot):
+            for name, module in list(sys.modules.items()):
+                if name == "seprat" or name.startswith("seprat."):
+                    for attr, value in list(vars(module).items()):
+                        if value is original:
+                            monkeypatch.setattr(module, attr, forbidden)
+        assert verify_witness(ds, grid, witness, "strict").valid
+        broken = SeparabilityWitness(
+            witness.u_order, witness.v_order[1:] + witness.v_order[:1], "x")
+        assert not verify_witness(ds, grid, broken, "strict").valid
+
+    def test_hostile_inputs_raise(self, single_clause):
+        ds = reduce_formula(single_clause)
+        grid = build_grid(ds)
+        witness = decide_cegar(ds, grid, "strict").witness
+        with pytest.raises(RelationError, match="unknown tie mode"):
+            verify_witness(ds, grid, witness, "lenient")
+        first = ds.observations[0]
+        for changed, error in (
+                (dataclasses.replace(first, x=(F(99),) * len(first.x)),
+                 RelationError),
+                (dataclasses.replace(first, p=first.p[:-1]),
+                 DimensionMismatch)):
+            bad = dataclasses.replace(
+                ds, observations=(changed,) + ds.observations[1:])
+            with pytest.raises(error):
+                verify_witness(bad, grid, witness, "strict")
+            with pytest.raises(error):
+                pairwise_verify_witness(bad, grid, witness, "strict")
+
 
 class TestTruthAssignmentToWitness:
     def test_first_satisfying_assignment(self, single_clause):
@@ -512,3 +721,18 @@ def test_witness_json_round_trip(single_clause):
     assert json.loads(json.dumps(doc)) == doc
     assert witness_from_json(doc) == w
     assert doc["method"] == "cegar"
+
+
+@pytest.mark.parametrize("doc, field", [
+    ({"u_order": [1.9, True], "v_order": [3], "iterations": 2}, "u_order"),
+    ({"u_order": [True], "v_order": [3]}, "u_order"),
+    ({"u_order": [1], "v_order": ["3"]}, "v_order"),
+    ({"u_order": [1], "v_order": "3"}, "v_order"),
+    ({"u_order": [1], "v_order": [3], "iterations": 2.5}, "iterations"),
+    ({"u_order": [1], "v_order": [3], "iterations": True}, "iterations"),
+    ({"u_order": [1], "v_order": [3], "iterations": "2"}, "iterations"),
+])
+def test_witness_from_json_accepts_only_integers(doc, field):
+    # int() would coerce each of these into a plausible witness
+    with pytest.raises(ValueError, match=field):
+        witness_from_json(doc)
