@@ -18,11 +18,15 @@ code with the deciders re-verifies every witness before it is returned.
 
 Two deciders share these semantics: an order-enumeration brute force for
 small grids, and a lazy SAT encoding that learns a blocking clause from
-each cycle found (counterexample-guided refinement).  The refinement
-loop searches cycles per component of the envelope, the graph of every
-edge that some u-order could admit, because no cycle leaves one; each
-blocking clause comes from the cycle with the fewest order-gated edges
-through a gated edge of the cycle found.
+each cycle found (counterexample-guided refinement).  Both work on the
+envelope's components: the strongly connected components of the graph
+between o-columns that links each column to every column some edge
+family could reach from it under some u-order.  No cycle leaves one, so
+point edges are built only inside them, and a witness's v-order lists the
+components in topological order of the condensation, each in its own
+order.
+Each blocking clause comes from the cycle with the fewest order-gated
+edges through a gated edge of the cycle found.
 """
 
 from __future__ import annotations
@@ -33,16 +37,15 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property
 from operator import ge, mul
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import DimensionMismatch, dominates
+from .numerics import DimensionMismatch, dominates, dot
 from .reduction import Dataset, base_points
 from .rpcore import (TIE_MODES, Grid, GridPoint, RelationError, build_grid,
-                     find_cycle_in_adjacency, revealed_relation,
-                     strongly_connected_components, topological_order)
+                     find_cycle_in_adjacency, strongly_connected_components,
+                     topological_order)
 
 log = logging.getLogger(__name__)
 
@@ -84,43 +87,99 @@ class WitnessCheck:
 
 
 class _Arena:
-    """Order-independent precomputation for one (dataset, grid, tie mode).
+    """Order-independent precomputation for one (dataset, grid, tie mode),
+    built between o-columns first and between points second.
 
-    Dominance edges come from each ordered pair of o-columns whose o-parts
-    dominate: each point of the upper column points at each point of the
-    lower one.  Those within one z-part do not depend on the u-order and
-    are frozen once, with the 1-edges, as the adjacency list `fixed`;
-    those across distinct z-parts are candidates gated by a single rank
-    comparison.  2-edges within an o-column are realized as the
-    rank-consecutive chain, which has the same reachability as the full
-    family.
+    The column graph links each observation's column to every column whose
+    cheapest point it affords, and each column to every column whose
+    o-part its own dominates.  Every edge of the combined relation, under
+    any u-order, runs along that graph (2-edges stay inside one column),
+    so its strongly connected components hold every cycle.  `comp` labels
+    each point by its column's component; `strongly_connected_components`
+    numbers them in reverse topological order of the condensation.
+
+    Point edges are built only inside components.  Dominance edges come
+    from each dominating pair of columns in one component: each point of
+    the upper column points at each point of the lower one.  Those within
+    one z-part do not depend on the u-order and are frozen once, with the
+    1-edges, as the successor sets `fixed`; those across distinct z-parts
+    are candidates gated by a single rank comparison.  2-edges within an
+    o-column are realized as the rank-consecutive chain, which has the
+    same reachability as the full family.
     """
 
     def __init__(self, ds: Dataset, grid: Grid, tie_mode: str):
+        if tie_mode not in TIE_MODES:
+            raise RelationError(f"unknown tie mode {tie_mode!r}")
+        weak = tie_mode == "weak"
         self.grid = grid
         self.n_points = len(grid.points)
         self.nz = len(grid.z_parts)
-        base = revealed_relation(ds, grid, tie_mode)
-        self.always = [(e.src, e.dst) for e in base.edges]
-        self.dom_candidates = []  # (src_pt, dst_pt, z_src, z_dst)
+        pt_z, pt_o = grid.pt_z, grid.pt_o
         self.columns = {}
         for j in range(self.n_points):
-            self.columns.setdefault(grid.pt_o[j], []).append(j)
-        for oa, upper in self.columns.items():
-            for ob, lower in self.columns.items():
-                if not dominates(grid.o_parts[oa], grid.o_parts[ob]):
+            self.columns.setdefault(pt_o[j], []).append(j)
+
+        between = [set() for _ in grid.o_parts]
+        dominating = []
+        for a in self.columns:
+            for b in self.columns:
+                if dominates(grid.o_parts[a], grid.o_parts[b]):
+                    between[a].add(b)
+                    dominating.append((a, b))
+        # a column's cheapest point has its least z-cost; per-level grids
+        # share one z-part set among the columns of a level
+        z_sets, col_set = {}, {}
+        for o, pts in self.columns.items():
+            col_set[o] = z_sets.setdefault(frozenset(pt_z[j] for j in pts),
+                                           len(z_sets))
+        revealed = []
+        for k, obs in enumerate(ds.observations):
+            src = grid.point_index.get(
+                GridPoint(tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])))
+            if src is None:
+                raise RelationError(
+                    f"observation {k} bundle is not on the grid")
+            budget = dot(obs.p, obs.x)
+            pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
+            z_cost = [dot(pz, part) for part in grid.z_parts]
+            o_cost = [dot(po, part) for part in grid.o_parts]
+            slack = [budget - min(z_cost[z] for z in zs) for zs in z_sets]
+            reach = between[pt_o[src]]
+            for o, s in col_set.items():
+                if o_cost[o] < slack[s] or (weak and o_cost[o] == slack[s]):
+                    reach.add(o)
+            revealed.append((src, z_cost, o_cost, budget))
+
+        col_comp = strongly_connected_components(
+            [sorted(dsts) for dsts in between])
+        self.comp = [col_comp[o] for o in pt_o]
+        members = {}
+        for j, c in enumerate(self.comp):
+            members.setdefault(c, []).append(j)
+        self.always = []
+        for src, z_cost, o_cost, budget in revealed:
+            for j in members[self.comp[src]]:
+                if j == src:
                     continue
-                for i in upper:
-                    zi = grid.pt_z[i]
-                    for j in lower:
-                        zj = grid.pt_z[j]
-                        if zi == zj:
-                            self.always.append((i, j))
-                        else:
-                            self.dom_candidates.append((i, j, zi, zj))
-        self.fixed = [[] for _ in range(self.n_points)]
+                cost = z_cost[pt_z[j]] + o_cost[pt_o[j]]
+                if cost < budget or (weak and cost == budget):
+                    self.always.append((src, j))
+        self.dom_candidates = []  # (src_pt, dst_pt, z_src, z_dst)
+        for a, b in dominating:
+            if col_comp[a] != col_comp[b]:
+                continue
+            for i in self.columns[a]:
+                zi = pt_z[i]
+                for j in self.columns[b]:
+                    zj = pt_z[j]
+                    if zi == zj:
+                        self.always.append((i, j))
+                    else:
+                        self.dom_candidates.append((i, j, zi, zj))
+        self.fixed = [set() for _ in range(self.n_points)]
         for s, d in self.always:
-            self.fixed[s].append(d)
+            self.fixed[s].add(d)
 
         self.z_dom_pairs = []
         for a in range(self.nz):
@@ -128,46 +187,31 @@ class _Arena:
                 if a != b and dominates(grid.z_parts[a], grid.z_parts[b]):
                     self.z_dom_pairs.append((a, b))
 
-    @cached_property
-    def envelope(self) -> tuple:
-        """(component label per point, frozen successor sets, dominance
-        candidates) inside the components of the envelope: the frozen
-        edges, every candidate, and each o-column linked both ways.  Every
-        edge of the combined relation under any order joins one component,
-        so no cycle leaves one.
-
-        Each o-column lies inside one component, so the components are
-        those of the graph between o-columns.
-        """
-        pt_o = self.grid.pt_o
-        between = [set() for _ in self.grid.o_parts]
-        for s, dsts in enumerate(self.fixed):
-            between[pt_o[s]].update(pt_o[d] for d in dsts)
-        for s, d, _, _ in self.dom_candidates:
-            between[pt_o[s]].add(pt_o[d])
-        column_comp = strongly_connected_components(
-            [sorted(dsts) for dsts in between])
-        comp = [column_comp[o] for o in pt_o]
-        frozen = [{d for d in dsts if comp[d] == comp[s]}
-                  for s, dsts in enumerate(self.fixed)]
-        candidates = [(s, d, zs, zd) for s, d, zs, zd in self.dom_candidates
-                      if comp[s] == comp[d]]
-        return comp, frozen, candidates
-
     def adjacency_under(self, rank: list) -> list:
-        """The combined relation under `rank`."""
-        return self._graph(self.fixed, self.dom_candidates, rank)
-
-    def _graph(self, frozen: list, candidates: list, rank: list) -> list:
-        adj = [list(dsts) for dsts in frozen]
+        """The combined relation under `rank` inside the components: it
+        has a cycle exactly when the whole relation has one."""
+        adj = [list(dsts) for dsts in self.fixed]
+        pt_z = self.grid.pt_z
         for pts in self.columns.values():
-            chain = sorted(pts, key=lambda j: rank[self.grid.pt_z[j]])
+            chain = sorted(pts, key=lambda j: rank[pt_z[j]])
             for s, d in zip(chain, chain[1:]):
                 adj[s].append(d)
-        for s, d, zs, zd in candidates:
+        for s, d, zs, zd in self.dom_candidates:
             if rank[zs] < rank[zd]:
                 adj[s].append(d)
         return adj
+
+    def v_order(self, adj: list) -> list | None:
+        """A topological order of the whole relation from `adj`, one of
+        `adjacency_under`'s graphs, or None when `adj` has a cycle: its
+        own topological order stable-sorted by component, in topological
+        order of the condensation.  Every edge between components follows
+        the condensation, so it runs forward too."""
+        order = topological_order(adj)
+        if order is None:
+            return None
+        comp = self.comp
+        return sorted(order, key=lambda j: -comp[j])
 
     def respects_dominance(self, rank: list) -> bool:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
@@ -190,7 +234,7 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
         if not arena.respects_dominance(rank):
             continue
         explored += 1
-        order = topological_order(arena.adjacency_under(rank))
+        order = arena.v_order(arena.adjacency_under(rank))
         if order is not None:
             witness = SeparabilityWitness(tuple(perm), tuple(order),
                                           "bruteforce", 0)
@@ -234,14 +278,14 @@ def _cegar_search(arena: _Arena, extra_units=(),
     topological order of the combined relation under it; both are None
     when every admissible order leaves a cycle.
 
-    Cycles are searched only inside the envelope's components.  Each
-    blocking clause comes from the cycle with the fewest order-gated edges
-    through some gated edge of the cycle found; since the frozen edges
-    alone are acyclic, every cycle has one.
+    The arena's graph holds only edges inside its components, which is
+    where every cycle lies.  Each blocking clause comes from the cycle with
+    the fewest order-gated edges through some gated edge of the cycle
+    found; since the frozen edges alone are acyclic, every cycle has one.
     """
-    if topological_order(arena.fixed) is None:
+    frozen = arena.fixed
+    if topological_order(frozen) is None:
         return None, None, 0
-    _, frozen, candidates = arena.envelope
     pt_z = arena.grid.pt_z
     nz = arena.nz
     var = _order_var_map(nz)
@@ -253,14 +297,13 @@ def _cegar_search(arena: _Arena, extra_units=(),
         if result.status == "unsat":
             return None, None, iterations
         rank = _rank_from_model(nz, var, result.model)
-        adj = arena._graph(frozen, candidates, rank)
+        adj = arena.adjacency_under(rank)
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
         if cycle is None:
-            order = topological_order(arena.adjacency_under(rank))
             perm = sorted(range(nz), key=lambda z: rank[z])
-            return tuple(perm), tuple(order), iterations
+            return tuple(perm), tuple(arena.v_order(adj)), iterations
         conditions = []
         for s, d in _cycle_edges(_fewest_gated_cycle(adj, frozen, cycle)):
             cond = (pt_z[s], pt_z[d])

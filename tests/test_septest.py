@@ -32,6 +32,18 @@ def one_point_dataset():
                    evaluation_points=())
 
 
+def hostile_variants(ds):
+    """`ds` with its first observation moved off the grid, then with its
+    first price shortened, each with the error it must raise."""
+    first = ds.observations[0]
+    for changed, error in (
+            (dataclasses.replace(first, x=(F(99),) * len(first.x)),
+             RelationError),
+            (dataclasses.replace(first, p=first.p[:-1]), DimensionMismatch)):
+        yield dataclasses.replace(
+            ds, observations=(changed,) + ds.observations[1:]), error
+
+
 def _reachable(adjacency):
     """Transitive closure as a list of reachable-index sets."""
     n = len(adjacency)
@@ -150,6 +162,31 @@ class TestDecide:
             vc = decide_cegar(ds, grid, tie)
             assert not vb.rationalizable and not vc.rationalizable
             assert vc.witness is None
+
+    def test_deciders_raise_on_hostile_inputs(self, monkeypatch,
+                                              single_clause):
+        # the arena computes the revealed relation itself, so it must
+        # raise what `revealed_relation` raised for the same inputs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the deciders reached revealed_relation")
+        for name, module in list(sys.modules.items()):
+            if name == "seprat" or name.startswith("seprat."):
+                for attr, value in list(vars(module).items()):
+                    if value is revealed_relation:
+                        monkeypatch.setattr(module, attr, forbidden)
+        ds = reduce_formula(single_clause)
+        grid = build_grid(ds)
+        for decider in (decide_cegar, decide_bruteforce):
+            with pytest.raises(RelationError, match="unknown tie mode"):
+                decider(ds, grid, "lenient")
+            variants = hostile_variants(ds)
+            bad, error = next(variants)
+            with pytest.raises(error, match="observation 0 bundle is not "
+                                            "on the grid"):
+                decider(bad, grid, "strict")
+            bad, error = next(variants)
+            with pytest.raises(error, match="dimension"):
+                decider(bad, grid, "strict")
 
     def test_determinism(self, single_clause):
         ds = reduce_formula(single_clause)
@@ -293,15 +330,17 @@ class TestVerifyWitness:
     def test_transposition_violating_affordability_names_the_row(
             self, single_clause):
         ds, grid, witness = self.fixture(single_clause)
-        # push the best point to the bottom: some observation's choice now
-        # sits below a point it could afford
-        broken = SeparabilityWitness(
-            witness.u_order,
-            witness.v_order[1:] + witness.v_order[:1],
-            witness.method, witness.iterations)
+        # move an observation's chosen bundle to just below a point it
+        # can afford; every other pair keeps its relative order
+        edge = revealed_relation(ds, grid, "strict").edges[0]
+        v = list(witness.v_order)
+        v.remove(edge.src)
+        v.insert(v.index(edge.dst) + 1, edge.src)
+        broken = SeparabilityWitness(witness.u_order, tuple(v),
+                                     witness.method, witness.iterations)
         check = verify_witness(ds, grid, broken, "strict")
         assert not check.valid
-        assert "observation" in check.reason or "edge" in check.reason
+        assert "affordable point above the chosen bundle" in check.reason
 
     def test_inverted_dominance_pair_is_rejected(self, single_clause):
         ds, grid, witness = self.fixture(single_clause)
@@ -520,14 +559,7 @@ class TestIntegerChecker:
         witness = decide_cegar(ds, grid, "strict").witness
         with pytest.raises(RelationError, match="unknown tie mode"):
             verify_witness(ds, grid, witness, "lenient")
-        first = ds.observations[0]
-        for changed, error in (
-                (dataclasses.replace(first, x=(F(99),) * len(first.x)),
-                 RelationError),
-                (dataclasses.replace(first, p=first.p[:-1]),
-                 DimensionMismatch)):
-            bad = dataclasses.replace(
-                ds, observations=(changed,) + ds.observations[1:])
+        for bad, error in hostile_variants(ds):
             with pytest.raises(error):
                 verify_witness(bad, grid, witness, "strict")
             with pytest.raises(error):
@@ -635,24 +667,62 @@ def _all_pairs_edge_families(ds, grid, tie_mode):
     return always, candidates
 
 
+def _envelope_partition(grid, always, candidates):
+    """The envelope's components as a set of point sets: the all-pairs
+    families plus every o-column linked both ways, closed transitively."""
+    adjacency = [set() for _ in grid.points]
+    for s, d in always:
+        adjacency[s].add(d)
+    for s, d, _, _ in candidates:
+        adjacency[s].add(d)
+    for s, os_ in enumerate(grid.pt_o):
+        for d, od in enumerate(grid.pt_o):
+            if os_ == od and s != d:
+                adjacency[s].add(d)
+    reach = _reachable(adjacency)
+    return {frozenset([i] + [j for j in reach[i] if i in reach[j]])
+            for i in range(len(grid.points))}
+
+
+def _arena_partition(arena):
+    members = {}
+    for j, c in enumerate(arena.comp):
+        members.setdefault(c, set()).add(j)
+    return {frozenset(pts) for pts in members.values()}
+
+
 def test_arena_edge_families_match_an_all_pairs_scan():
+    # the arena keeps exactly the all-pairs families inside one envelope
+    # component, and its components are the envelope's
     rng = random.Random(23)
     datasets = [random_foreign_dataset(rng) for _ in range(40)]
     for text in (SINGLE_CLAUSE, SLOT_CONFLICT):
         datasets.append(reduce_formula(cnf.parse_dimacs(text)))
     datasets.append(reduce_formula(cnf.random_formula(rng, 4, 3)))
+    dropped = 0
     for ds in datasets:
         grid = build_grid(ds)
         for tie in ("strict", "weak"):
             arena = _Arena(ds, grid, tie)
             always, candidates = _all_pairs_edge_families(ds, grid, tie)
-            assert Counter(arena.always) == always
-            assert Counter(arena.dom_candidates) == candidates
+            partition = _envelope_partition(grid, always, candidates)
+            assert _arena_partition(arena) == partition
+            comp = {j: pts for pts in partition for j in pts}
+            inner_always = Counter({(s, d): n for (s, d), n in always.items()
+                                    if d in comp[s]})
+            inner_candidates = Counter({c: n for c, n in candidates.items()
+                                        if c[1] in comp[c[0]]})
+            assert Counter(arena.always) == inner_always
+            assert Counter(arena.dom_candidates) == inner_candidates
+            dropped += always.total() + candidates.total() \
+                - len(arena.always) - len(arena.dom_candidates)
+    assert dropped > 0
 
 
 def test_envelope_components_hold_every_cycle():
-    # the refinement loop searches cycles only among edges inside one
-    # envelope component; under any order that must find every cycle
+    # the deciders search cycles only among edges inside one envelope
+    # component; under any order that must find every cycle, and the
+    # arena's v-order must order the whole relation
     rng = random.Random(37)
     datasets = [reduce_formula(cnf.parse_dimacs(text))
                 for text in (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
@@ -666,12 +736,17 @@ def test_envelope_components_hold_every_cycle():
                                   p=(F(1), F(10), F(1)), clause=2),),
         evaluation_points=(EvaluationPoint(x=(F(2), F(0), F(2)),
                                            clause=1),)))
+    ordered = 0
     for ds in datasets:
         grid = build_grid(ds)
         for tie in ("strict", "weak"):
             arena = _Arena(ds, grid, tie)
-            comp, frozen, candidates = arena.envelope
-            for pts in arena.columns.values():
+            comp = arena.comp
+            always, candidates = _all_pairs_edge_families(ds, grid, tie)
+            columns = {}
+            for j, o in enumerate(grid.pt_o):
+                columns.setdefault(o, []).append(j)
+            for pts in columns.values():
                 assert len({comp[j] for j in pts}) == 1
             for _ in range(25):
                 perm = list(range(arena.nz))
@@ -679,13 +754,32 @@ def test_envelope_components_hold_every_cycle():
                 rank = [0] * arena.nz
                 for pos, z in enumerate(perm):
                     rank[z] = pos
-                full = arena.adjacency_under(rank)
-                inner = [sorted(d for d in dsts if comp[d] == comp[s])
-                         for s, dsts in enumerate(full)]
+                full = [[] for _ in grid.points]
+                for s, d in always:
+                    full[s].append(d)
+                for s, d, zs, zd in candidates:
+                    if rank[zs] < rank[zd]:
+                        full[s].append(d)
+                for pts in columns.values():
+                    chain = sorted(pts, key=lambda j: rank[grid.pt_z[j]])
+                    for s, d in zip(chain, chain[1:]):
+                        full[s].append(d)
+                inner = arena.adjacency_under(rank)
                 assert [set(d) for d in inner] == \
-                    [set(d) for d in arena._graph(frozen, candidates, rank)]
+                    [{d for d in dsts if comp[d] == comp[s]}
+                     for s, dsts in enumerate(full)]
                 assert (find_cycle_in_adjacency(full) is None) == \
                     (find_cycle_in_adjacency(inner) is None)
+                order = arena.v_order(inner)
+                assert (order is None) == \
+                    (find_cycle_in_adjacency(inner) is not None)
+                if order is not None:
+                    ordered += 1
+                    position = {j: pos for pos, j in enumerate(order)}
+                    assert sorted(order) == list(range(len(grid.points)))
+                    assert all(position[s] < position[d]
+                               for s, dsts in enumerate(full) for d in dsts)
+    assert ordered > 0
 
 
 def test_all_sign_patterns_refines_in_few_iterations(all_sign_patterns):
