@@ -13,6 +13,7 @@ Set SEPRAT_LOG=debug|info|warning for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -149,7 +150,9 @@ def _budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="seprat",
         description="Compile 3SAT formulas into consumption datasets and "
@@ -160,8 +163,6 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=_budget, default=None, metavar="N",
                         help="conflict budget for the SAT engine, N >= 0")
-    common = argparse.ArgumentParser(add_help=False, parents=[budget])
-    common.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
 
     p = sub.add_parser("reduce", help="compile a DIMACS file into a dataset")
     p.add_argument("cnf")
@@ -172,9 +173,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="rational added to zero price coordinates")
     p.set_defaults(func=cmd_reduce)
 
-    p = sub.add_parser("test", parents=[common],
+    p = sub.add_parser("test", parents=[budget],
                        help="decide separable rationalizability of a dataset")
     p.add_argument("dataset")
+    p.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
     p.add_argument("--method", choices=("auto", "cegar"), default="auto")
     p.add_argument("--exit-code", action="store_true",
                    help="exit 3 when not rationalizable")
@@ -186,13 +188,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-code", action="store_true")
     p.set_defaults(func=cmd_sat)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify", parents=[budget],
                        help="round-trip: satisfiability vs rationalizability")
     p.add_argument("cnf")
+    # the acceptance criteria for compiled data are stated for strict ties;
+    # an action shared through a parent parser would carry this default
+    # into `test` too
+    p.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="strict")
     p.add_argument("--offset-mode", choices=("paper", "linear"),
                    default="paper")
-    # the acceptance criteria for compiled data are stated for strict ties
-    p.set_defaults(func=cmd_verify, tie_mode="strict")
+    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dot", help="write the revealed graph as DOT")
     p.add_argument("dataset")

@@ -24,7 +24,8 @@ between o-columns that links each column to every column some edge
 family could reach from it under some u-order.  No cycle leaves one, so
 point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
-order.
+order.  Costs are taken once per distinct price: compiled data repeats
+its prices across levels, so most observations need no inner product.
 Each blocking clause comes from the cycle with the fewest order-gated
 edges through a gated edge of the cycle found.
 """
@@ -41,7 +42,7 @@ from operator import ge, mul
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import DimensionMismatch, dominates, dot
+from .numerics import DimensionMismatch, dot
 from .reduction import Dataset, base_points
 from .rpcore import (TIE_MODES, Grid, GridPoint, RelationError, build_grid,
                      find_cycle_in_adjacency, strongly_connected_components,
@@ -92,9 +93,12 @@ class _Arena:
 
     The column graph links each observation's column to every column whose
     cheapest point it affords, and each column to every column whose
-    o-part its own dominates.  Every edge of the combined relation, under
-    any u-order, runs along that graph (2-edges stay inside one column),
-    so its strongly connected components hold every cycle.  `comp` labels
+    o-part its own dominates.  Costs come from one z-cost vector per
+    distinct z-price and one o-cost vector per distinct o-price, so an
+    observation whose price repeats an earlier one's takes no new inner
+    product.  Every edge of the combined relation, under any u-order,
+    runs along that graph (2-edges stay inside one column), so its
+    strongly connected components hold every cycle.  `comp` labels
     each point by its column's component; `strongly_connected_components`
     numbers them in reverse topological order of the condensation.
 
@@ -120,11 +124,13 @@ class _Arena:
         for j in range(self.n_points):
             self.columns.setdefault(pt_o[j], []).append(j)
 
+        # grid parts are distinct, so >= in every coordinate dominates
         between = [set() for _ in grid.o_parts]
         dominating = []
         for a in self.columns:
+            oa = grid.o_parts[a]
             for b in self.columns:
-                if dominates(grid.o_parts[a], grid.o_parts[b]):
+                if a != b and all(map(ge, oa, grid.o_parts[b])):
                     between[a].add(b)
                     dominating.append((a, b))
         # a column's cheapest point has its least z-cost; per-level grids
@@ -133,6 +139,9 @@ class _Arena:
         for o, pts in self.columns.items():
             col_set[o] = z_sets.setdefault(frozenset(pt_z[j] for j in pts),
                                            len(z_sets))
+        # compiled data repeats its prices, so each cost vector (and each
+        # z-cost's least value per z-part set) is taken once per price
+        z_costs, o_costs = {}, {}
         revealed = []
         for k, obs in enumerate(ds.observations):
             src = grid.point_index.get(
@@ -140,11 +149,21 @@ class _Arena:
             if src is None:
                 raise RelationError(
                     f"observation {k} bundle is not on the grid")
-            budget = dot(obs.p, obs.x)
+            if len(obs.p) != len(obs.x):
+                raise DimensionMismatch(
+                    f"dimension {len(obs.p)} vs {len(obs.x)}")
             pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
-            z_cost = [dot(pz, part) for part in grid.z_parts]
-            o_cost = [dot(po, part) for part in grid.o_parts]
-            slack = [budget - min(z_cost[z] for z in zs) for zs in z_sets]
+            costs = z_costs.get(pz)
+            if costs is None:
+                z_cost = [dot(pz, part) for part in grid.z_parts]
+                costs = z_costs[pz] = z_cost, [min(z_cost[z] for z in zs)
+                                               for zs in z_sets]
+            z_cost, z_least = costs
+            o_cost = o_costs.get(po)
+            if o_cost is None:
+                o_cost = o_costs[po] = [dot(po, part) for part in grid.o_parts]
+            budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
+            slack = [budget - least for least in z_least]
             reach = between[pt_o[src]]
             for o, s in col_set.items():
                 if o_cost[o] < slack[s] or (weak and o_cost[o] == slack[s]):
@@ -182,9 +201,9 @@ class _Arena:
             self.fixed[s].add(d)
 
         self.z_dom_pairs = []
-        for a in range(self.nz):
-            for b in range(self.nz):
-                if a != b and dominates(grid.z_parts[a], grid.z_parts[b]):
+        for a, za in enumerate(grid.z_parts):
+            for b, zb in enumerate(grid.z_parts):
+                if a != b and all(map(ge, za, zb)):
                     self.z_dom_pairs.append((a, b))
 
     def adjacency_under(self, rank: list) -> list:

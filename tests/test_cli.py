@@ -319,6 +319,25 @@ def test_option_sets_are_pinned():
     assert set(method.choices) == {"auto", "cegar"}
 
 
+def test_one_parser_serves_every_call_without_leaking_defaults(
+        capsys, tmp_path, cnf_file):
+    # the parser is built once per process, so no command's defaults may
+    # reach another: `test` keeps the documented weak default before and
+    # after `verify`, whose own default is strict
+    dataset = tmp_path / "ds.json"
+    assert run(capsys, "reduce", cnf_file, "-o", str(dataset))[0] == 0
+    assert cli._build_parser() is cli._build_parser()
+    code, first, _ = run(capsys, "test", str(dataset))
+    assert code == 0
+    ds = dataset_from_json(dataset.read_text())
+    assert json.loads(first) == cli._verdict_doc(septest.decide(ds, "weak"))
+    assert json.loads(first) != cli._verdict_doc(septest.decide(ds, "strict"))
+    code, out, _ = run(capsys, "verify", cnf_file)
+    assert code == 0 and json.loads(out)["agree"]
+    code, second, _ = run(capsys, "test", str(dataset))
+    assert code == 0 and second == first
+
+
 def run_module(*argv):
     """`python -m seprat` in a child process, with the package on the path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from seprat import cnf
+from seprat import cnf, septest
 from seprat.numerics import DimensionMismatch, dominates, dot
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, reduce_formula)
@@ -34,14 +34,20 @@ def one_point_dataset():
 
 def hostile_variants(ds):
     """`ds` with its first observation moved off the grid, then with its
-    first price shortened, each with the error it must raise."""
-    first = ds.observations[0]
+    first price shortened, then with its last price shortened, each with
+    the error it must raise.  On compiled data with more than one clause
+    the last observation's z-price repeats an earlier one's, so the arena
+    has that price's z-costs cached."""
+    first, last = ds.observations[0], ds.observations[-1]
     for changed, error in (
             (dataclasses.replace(first, x=(F(99),) * len(first.x)),
              RelationError),
             (dataclasses.replace(first, p=first.p[:-1]), DimensionMismatch)):
         yield dataclasses.replace(
             ds, observations=(changed,) + ds.observations[1:]), error
+    changed = dataclasses.replace(last, p=last.p[:-1])
+    yield dataclasses.replace(
+        ds, observations=ds.observations[:-1] + (changed,)), DimensionMismatch
 
 
 def _reachable(adjacency):
@@ -174,19 +180,23 @@ class TestDecide:
                 for attr, value in list(vars(module).items()):
                     if value is revealed_relation:
                         monkeypatch.setattr(module, attr, forbidden)
-        ds = reduce_formula(single_clause)
-        grid = build_grid(ds)
-        for decider in (decide_cegar, decide_bruteforce):
-            with pytest.raises(RelationError, match="unknown tie mode"):
-                decider(ds, grid, "lenient")
-            variants = hostile_variants(ds)
-            bad, error = next(variants)
-            with pytest.raises(error, match="observation 0 bundle is not "
-                                            "on the grid"):
-                decider(bad, grid, "strict")
-            bad, error = next(variants)
-            with pytest.raises(error, match="dimension"):
-                decider(bad, grid, "strict")
+        slot_conflict = reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT))
+        last = slot_conflict.observations[-1].p[:slot_conflict.n_z]
+        assert last in {o.p[:slot_conflict.n_z]
+                        for o in slot_conflict.observations[:-1]}
+        for ds in (reduce_formula(single_clause), slot_conflict):
+            grid = build_grid(ds)
+            for decider in (decide_cegar, decide_bruteforce):
+                with pytest.raises(RelationError, match="unknown tie mode"):
+                    decider(ds, grid, "lenient")
+                variants = hostile_variants(ds)
+                bad, error = next(variants)
+                with pytest.raises(error, match="observation 0 bundle is "
+                                                "not on the grid"):
+                    decider(bad, grid, "strict")
+                for bad, error in variants:
+                    with pytest.raises(error, match="dimension"):
+                        decider(bad, grid, "strict")
 
     def test_determinism(self, single_clause):
         ds = reduce_formula(single_clause)
@@ -554,16 +564,17 @@ class TestIntegerChecker:
         assert not verify_witness(ds, grid, broken, "strict").valid
 
     def test_hostile_inputs_raise(self, single_clause):
-        ds = reduce_formula(single_clause)
-        grid = build_grid(ds)
-        witness = decide_cegar(ds, grid, "strict").witness
-        with pytest.raises(RelationError, match="unknown tie mode"):
-            verify_witness(ds, grid, witness, "lenient")
-        for bad, error in hostile_variants(ds):
-            with pytest.raises(error):
-                verify_witness(bad, grid, witness, "strict")
-            with pytest.raises(error):
-                pairwise_verify_witness(bad, grid, witness, "strict")
+        for ds in (reduce_formula(single_clause),
+                   reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT))):
+            grid = build_grid(ds)
+            witness = decide_cegar(ds, grid, "strict").witness
+            with pytest.raises(RelationError, match="unknown tie mode"):
+                verify_witness(ds, grid, witness, "lenient")
+            for bad, error in hostile_variants(ds):
+                with pytest.raises(error):
+                    verify_witness(bad, grid, witness, "strict")
+                with pytest.raises(error):
+                    pairwise_verify_witness(bad, grid, witness, "strict")
 
 
 class TestTruthAssignmentToWitness:
@@ -699,6 +710,14 @@ def test_arena_edge_families_match_an_all_pairs_scan():
     for text in (SINGLE_CLAUSE, SLOT_CONFLICT):
         datasets.append(reduce_formula(cnf.parse_dimacs(text)))
     datasets.append(reduce_formula(cnf.random_formula(rng, 4, 3)))
+    datasets.append(reduce_formula(cnf.random_formula(rng, 8, 6), "linear",
+                                   F(1, 7)))
+    # foreign data whose observations share one price: every observation
+    # after the first takes its costs from the arena's cache
+    shared = random_foreign_dataset(rng)
+    price = shared.observations[0].p
+    datasets.append(dataclasses.replace(shared, observations=tuple(
+        dataclasses.replace(o, p=price) for o in shared.observations)))
     dropped = 0
     for ds in datasets:
         grid = build_grid(ds)
@@ -717,6 +736,28 @@ def test_arena_edge_families_match_an_all_pairs_scan():
             dropped += always.total() + candidates.total() \
                 - len(arena.always) - len(arena.dom_candidates)
     assert dropped > 0
+
+
+def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
+    # compiled data repeats its prices, so the arena's dot products grow
+    # with the distinct prices, not with the observations
+    calls = []
+
+    def counted(p, x):
+        calls.append(None)
+        return dot(p, x)
+    monkeypatch.setattr(septest, "dot", counted)
+    f = cnf.random_formula(random.Random(6), 8, 6)
+    for mode, eta in (("paper", 0), ("linear", 0), ("linear", F(1, 7))):
+        ds = reduce_formula(f, mode, eta)
+        grid = build_grid(ds)
+        z_prices = {o.p[:ds.n_z] for o in ds.observations}
+        o_prices = {o.p[ds.n_z:] for o in ds.observations}
+        assert len(o_prices) == 6
+        calls.clear()
+        _Arena(ds, grid, "strict")
+        assert len(calls) == len(z_prices) * len(grid.z_parts) \
+            + len(o_prices) * len(grid.o_parts), (mode, eta)
 
 
 def test_envelope_components_hold_every_cycle():
