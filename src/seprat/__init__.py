@@ -40,6 +40,7 @@ from .reduction import (  # noqa: F401
     Dataset,
     DatasetError,
     GadgetConstants,
+    SizeGuardExceeded,
     base_points,
     build_clause_gadget,
     compute_epsilon_M,

@@ -2,11 +2,10 @@
 
 Machine-readable JSON goes to stdout; human diagnostics go to stderr.
 The grid follows from the data, and each verdict names it in `stats.grid`;
-`test --method auto` lets `septest.decide` pick the decider by grid size,
-and `--method cegar` always refines.
+`test` and `verify` decide with `septest.decide`, which probes, then refines.
 Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
-2 input error, 3 negative verdict when --exit-code is given, 4 resource
-budget exhausted.
+2 input error, 3 negative verdict when --exit-code is given, 4 conflict
+budget exhausted or compile size guard exceeded.
 Set SEPRAT_LOG=debug|info|warning for logging verbosity.
 """
 
@@ -86,8 +85,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_test(args) -> int:
     ds = _load_dataset(args.dataset)
-    verdict = septest.decide(ds, tie_mode=args.tie_mode, method=args.method,
-                             conflict_limit=args.budget)
+    verdict = septest.decide(ds, args.tie_mode, conflict_limit=args.budget)
     _emit(_verdict_doc(verdict))
     if args.exit_code and not verdict.rationalizable:
         return EXIT_NEGATIVE
@@ -114,8 +112,8 @@ def cmd_sat(args) -> int:
 
 def cmd_verify(args) -> int:
     formula = _load_formula(args.cnf)
-    satisfiable = _solve(formula, args.budget).status == "sat"
     ds = reduction.reduce_formula(formula, args.offset_mode)
+    satisfiable = _solve(formula, args.budget).status == "sat"
     verdict = septest.decide(ds, tie_mode=args.tie_mode,
                              conflict_limit=args.budget)
     agree = satisfiable == verdict.rationalizable
@@ -177,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="decide separable rationalizability of a dataset")
     p.add_argument("dataset")
     p.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="weak")
-    p.add_argument("--method", choices=("auto", "cegar"), default="auto")
+    p.add_argument("--method", choices=("cegar",), default="cegar")
     p.add_argument("--exit-code", action="store_true",
                    help="exit 3 when not rationalizable")
     p.set_defaults(func=cmd_test)
@@ -217,7 +215,7 @@ def main(argv=None) -> int:
             RationalFormatError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except satcore.BudgetExhausted as exc:
+    except (satcore.BudgetExhausted, reduction.SizeGuardExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

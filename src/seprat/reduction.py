@@ -70,6 +70,10 @@ CHAIN_EDGES = frozenset(
 
 _ONES2 = (Fraction(1), Fraction(1))
 
+# base_points and compute_epsilon_M compare all 2I base points pairwise, so
+# compile time grows with the square of the declared variable count
+MAX_VARIABLES = 128
+
 
 class ConstructionError(RuntimeError):
     """An internal invariant of the construction failed to verify."""
@@ -77,6 +81,10 @@ class ConstructionError(RuntimeError):
 
 class DatasetError(ValueError):
     """Malformed dataset content (schema, dimensions, or rationals)."""
+
+
+class SizeGuardExceeded(RuntimeError):
+    """The formula declares more variables than the compile accepts."""
 
 
 @dataclass(frozen=True)
@@ -139,6 +147,9 @@ def base_points(count: int) -> BasePoints:
     """Base bundles z^q_i with supporting prices, verified pairwise."""
     if count < 1:
         raise ConstructionError("need at least one variable")
+    if count > MAX_VARIABLES:
+        raise SizeGuardExceeded(f"{count} variables exceeds the compile "
+                                f"guard of {MAX_VARIABLES}")
     z, p = {}, {}
     for i in range(1, count + 1):
         z[(i, 1)] = (Fraction(i), Fraction(1, i))
@@ -403,6 +414,8 @@ def dataset_from_json(text: str) -> Dataset:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DatasetError(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise DatasetError("JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise DatasetError("top level must be an object")
 

@@ -16,9 +16,9 @@ the combined relation (the v-order), which together act as finite value
 tables for the two utility layers.  An integer checker that shares no
 code with the deciders re-verifies every witness before it is returned.
 
-Two deciders share these semantics: an order-enumeration brute force for
-small grids, and a lazy SAT encoding that learns a blocking clause from
-each cycle found (counterexample-guided refinement).  Both work on the
+One decider runs in production: it probes brute force's first u-order,
+then learns a blocking clause from each cycle in a lazy SAT encoding
+(CEGAR).  It and brute force, the tests' oracle, both work on the
 envelope's components: the strongly connected components of the graph
 between o-columns that links each column to every column some edge
 family could reach from it under some u-order.  No cycle leaves one, so
@@ -51,7 +51,6 @@ from .rpcore import (TIE_MODES, Grid, GridPoint, RelationError, build_grid,
 log = logging.getLogger(__name__)
 
 BRUTEFORCE_ZPART_GUARD = 9
-AUTO_BRUTEFORCE_LIMIT = 6
 
 
 class GuardExceeded(ValueError):
@@ -238,7 +237,7 @@ class _Arena:
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
                       tie_mode: str = "weak") -> TestVerdict:
-    """Enumerate strict total orders lexicographically; first acyclic wins."""
+    """Test oracle: the lexicographically first acyclic order wins."""
     arena = _Arena(ds, grid, tie_mode)
     if arena.nz > BRUTEFORCE_ZPART_GUARD:
         raise GuardExceeded(
@@ -282,8 +281,9 @@ def _order_instance(nz: int, var: dict,
         for b in range(a + 1, nz):
             clauses.append([var[(a, b)], var[(b, a)]])
             clauses.append([-var[(a, b)], -var[(b, a)]])
-    for a, b, c in itertools.permutations(range(nz), 3):
-        clauses.append([-var[(a, b)], -var[(b, c)], var[(a, c)]])
+    for (a, b), ab in var.items():
+        clauses.extend([-ab, -var[(b, c)], var[(a, c)]]
+                       for c in range(nz) if c != a and c != b)
     for a, b in extra_units:
         clauses.append([var[(a, b)]])
     return satcore.SatInstance(len(var), clauses)
@@ -291,37 +291,44 @@ def _order_instance(nz: int, var: dict,
 
 def _cegar_search(arena: _Arena, extra_units=(),
                   conflict_limit: int | None = None):
-    """Shared refinement loop; returns (u_order, v_order, iterations).
+    """Probe, then refine; returns (u_order, v_order, iterations).
 
     u_order is the accepted z-part order, best first, and v_order the
     topological order of the combined relation under it; both are None
     when every admissible order leaves a cycle.
 
-    The arena's graph holds only edges inside its components, which is
+    The probe, brute force's first order, is accepted with no iterations
+    when its graph is acyclic; otherwise the SAT search runs as if it had
+    not.  The arena's graph holds only edges inside its components, which is
     where every cycle lies.  Each blocking clause comes from the cycle with
     the fewest order-gated edges through some gated edge of the cycle
     found; since the frozen edges alone are acyclic, every cycle has one.
     """
     frozen = arena.fixed
-    if topological_order(frozen) is None:
-        return None, None, 0
-    pt_z = arena.grid.pt_z
     nz = arena.nz
-    var = _order_var_map(nz)
     units = list(arena.z_dom_pairs) + list(extra_units)
+    probe = _total_order(nz, units)
+    if probe is None or topological_order(frozen) is None:
+        return None, None, 0
+    perm, rank = probe
+    v_order = arena.v_order(arena.adjacency_under(rank))
+    if v_order is not None:
+        return tuple(perm), tuple(v_order), 0
+    pt_z = arena.grid.pt_z
+    var = _order_var_map(nz)
     solver = satcore.Solver(_order_instance(nz, var, units), conflict_limit)
     iterations = 0
     while True:
         result = solver.solve()
         if result.status == "unsat":
             return None, None, iterations
-        rank = _rank_from_model(nz, var, result.model)
+        perm, rank = _total_order(nz, [pair for pair, v in var.items()
+                                       if result.model[v - 1]])
         adj = arena.adjacency_under(rank)
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
         if cycle is None:
-            perm = sorted(range(nz), key=lambda z: rank[z])
             return tuple(perm), tuple(arena.v_order(adj)), iterations
         conditions = []
         for s, d in _cycle_edges(_fewest_gated_cycle(adj, frozen, cycle)):
@@ -369,21 +376,23 @@ def _fewest_gated_cycle(adj: list, frozen: list, cycle: list) -> list:
     return best
 
 
-def _rank_from_model(nz: int, var: dict, model: list) -> list:
-    score = [0] * nz
-    for (a, b), v in var.items():
-        if model[v - 1]:
-            score[a] += 1
-    order = sorted(range(nz), key=lambda a: (-score[a], a))
+def _total_order(nz: int, pairs) -> tuple | None:
+    """Lowest-index (order, ranks) with a above b per pair, or None."""
+    below = [[] for _ in range(nz)]
+    for a, b in pairs:
+        below[a].append(b)
+    order = topological_order(below)
+    if order is None:
+        return None
     rank = [0] * nz
     for pos, z in enumerate(order):
         rank[z] = pos
-    return rank
+    return order, rank
 
 
 def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
                  conflict_limit: int | None = None) -> TestVerdict:
-    """Lazy SAT search over u-orders with cycle-driven blocking clauses."""
+    """One probe, then lazy SAT search with cycle-driven blocking clauses."""
     arena = _Arena(ds, grid, tie_mode)
     u_order, v_order, iterations = _cegar_search(arena, (), conflict_limit)
     stats = {"method": "cegar", "iterations": iterations, "grid": grid.mode}
@@ -395,19 +404,11 @@ def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
 
 
 def decide(ds: Dataset, tie_mode: str = "weak",
-           grid_mode: str = "per-level-union", method: str = "auto",
+           grid_mode: str = "per-level-union",
            conflict_limit: int | None = None) -> TestVerdict:
-    """Grid construction plus method dispatch (auto favors brute force only
-    on grids with at most 6 z-parts; from 7 on refinement is never slower)."""
-    grid = build_grid(ds, grid_mode)
-    if method == "auto":
-        method = "bruteforce" if len(grid.z_parts) <= AUTO_BRUTEFORCE_LIMIT \
-            else "cegar"
-    if method == "bruteforce":
-        return decide_bruteforce(ds, grid, tie_mode)
-    if method == "cegar":
-        return decide_cegar(ds, grid, tie_mode, conflict_limit)
-    raise ValueError(f"unknown method {method!r}")
+    """The production decider: `decide_cegar` over the dataset's grid."""
+    return decide_cegar(ds, build_grid(ds, grid_mode), tie_mode,
+                        conflict_limit)
 
 
 # -- witness verification ----------------------------------------------------

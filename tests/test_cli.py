@@ -5,6 +5,7 @@ import pathlib
 import shlex
 import subprocess
 import sys
+import time
 import traceback
 
 import pytest
@@ -179,6 +180,21 @@ class TestVerify:
         assert "DISAGREE" in err
 
 
+@pytest.mark.parametrize("command", ["reduce", "verify"])
+def test_variable_count_past_the_compile_guard_exits_4(capsys, tmp_path,
+                                                       command):
+    # the compile compares base points pairwise, so a hostile header must
+    # stop at the guard instead of hanging
+    path = tmp_path / "wide.cnf"
+    path.write_text("p cnf 100000 1\n1 2 3 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, command, str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 4 and out == ""
+    assert err == (f"error: 100000 variables exceeds the compile guard of "
+                   f"{reduction.MAX_VARIABLES}\n")
+
+
 def _leveled_dataset(obs_fields=None, eval_fields=None):
     """Dataset JSON with clause levels; the first row of each kind gets the
     given fields on top."""
@@ -226,6 +242,7 @@ MALFORMED_DATASETS = {
     "fractional clause": _leveled_dataset({"clause": 1.5}),
     "boolean clause": _leveled_dataset(eval_fields={"clause": True}),
     "boolean slot": _leveled_dataset({"k": True}),
+    "deeply nested": b"[" * 200_000,
 }
 
 HOSTILE_CASES = (
@@ -316,7 +333,7 @@ def test_option_sets_are_pinned():
     }
     method = next(a for a in commands["test"]._actions
                   if "--method" in a.option_strings)
-    assert set(method.choices) == {"auto", "cegar"}
+    assert set(method.choices) == {"cegar"}
 
 
 def test_one_parser_serves_every_call_without_leaking_defaults(

@@ -6,8 +6,9 @@ import pytest
 
 from seprat import cnf, reduction
 from seprat.numerics import dot, parse_rational
-from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, OBSERVED_SLOTS,
-                              ConstructionError, DatasetError, base_points,
+from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
+                              OBSERVED_SLOTS, ConstructionError, DatasetError,
+                              SizeGuardExceeded, base_points,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
@@ -49,6 +50,16 @@ class TestBasePoints:
             for b in bp.pairs():
                 if b != a:
                     assert dot(bp.p[a], bp.z[b]) > 1
+
+    def test_variable_count_guard(self):
+        # above every variable count in use: the compile workload has at
+        # most 22 and the L=50 scale formula 52
+        assert MAX_VARIABLES >= 52
+        assert base_points(MAX_VARIABLES).count == MAX_VARIABLES
+        with pytest.raises(SizeGuardExceeded, match="compile guard"):
+            base_points(MAX_VARIABLES + 1)
+        with pytest.raises(SizeGuardExceeded):
+            reduce_formula(cnf.CnfFormula(MAX_VARIABLES + 1, ()))
 
     def test_second_bundle_is_exact_hyperbola_point(self):
         bp = base_points(4)

@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from seprat import cnf, septest
+from seprat import cli, cnf, septest
 from seprat.numerics import DimensionMismatch, dominates, dot
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
-                              base_points, reduce_formula)
+                              base_points, dataset_to_json, reduce_formula)
 from seprat.rpcore import (GridPoint, RelationError, build_grid,
                            find_cycle_in_adjacency, revealed_relation)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
@@ -94,30 +94,73 @@ class TestDecide:
         with pytest.raises(GuardExceeded, match="decide_cegar"):
             decide_bruteforce(ds, grid, "strict")
 
-    def test_auto_dispatch(self, single_clause):
-        # auto enumerates orders only up to six z-parts; the single clause's
-        # nine and the seven below exceed that, so auto refines
-        ds = reduce_formula(single_clause)
-        verdict = decide(ds, tie_mode="strict", method="auto")
-        assert verdict.stats["method"] == "cegar"
-        foreign = one_point_dataset()
-        assert decide(foreign, method="auto").stats["method"] == "bruteforce"
-        for nz, method in ((6, "bruteforce"), (7, "cegar")):
-            spread = Dataset(
-                n_z=1, n_o=1,
-                observations=(Observation(x=(F(0), F(1)), p=(F(1), F(1))),),
-                evaluation_points=tuple(EvaluationPoint(x=(F(z), F(1)))
-                                        for z in range(1, nz)))
-            assert len(build_grid(spread).z_parts) == nz
-            assert decide(spread, method="auto").stats["method"] == method
+    def test_no_production_path_enumerates_orders(self, monkeypatch, capsys,
+                                                   tmp_path, single_clause):
+        # `decide` and `seprat test` probe one order, then refine; with
+        # order enumeration made to fail they still decide foreign data
+        # with one to six z-parts and compiled data
+        rng = random.Random(43)
+        foreign = [one_point_dataset()] + [random_foreign_dataset(rng)
+                                           for _ in range(40)]
+        cases = [(ds, tie, decide_bruteforce(ds, build_grid(ds), tie).status)
+                 for ds in foreign for tie in ("strict", "weak")]
+        assert {len(build_grid(ds).z_parts) for ds in foreign} \
+            == set(range(1, 7))
+        cases += [(reduce_formula(single_clause), "strict", "rationalizable"),
+                  (reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT)), "weak",
+                   "rationalizable")]
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a production path enumerated orders")
+        monkeypatch.setattr(septest, "decide_bruteforce", forbidden)
+        monkeypatch.setattr(septest.itertools, "permutations", forbidden)
+        refined = 0
+        path = tmp_path / "ds.json"
+        for ds, tie, status in cases:
+            verdict = decide(ds, tie)
+            assert verdict.status == status
+            refined += verdict.stats["iterations"] > 0
+            path.write_text(dataset_to_json(ds))
+            assert cli.main(["test", str(path), "--tie-mode", tie]) == 0
+            assert json.loads(capsys.readouterr().out)["status"] == status
+        assert refined  # some cases reach the SAT loop, not just the probe
+
+    def test_probe_is_brute_force_first_order(self, monkeypatch,
+                                              single_clause):
+        # when the oracle accepts its first order, the probe accepts the
+        # same u-order and v-order with no refinement
+        rng = random.Random(47)
+        probed = 0
+        for _ in range(60):
+            ds = random_foreign_dataset(rng)
+            grid = build_grid(ds, "full-product")
+            for tie in ("strict", "weak"):
+                vb = decide_bruteforce(ds, grid, tie)
+                if not vb.rationalizable or vb.stats["orders_explored"] > 1:
+                    continue
+                vc = decide_cegar(ds, grid, tie)
+                assert vc.stats["iterations"] == vc.witness.iterations == 0
+                assert vc.witness.u_order == vb.witness.u_order
+                assert vc.witness.v_order == vb.witness.v_order
+                probed += 1
+        assert probed >= 20
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the probe did not accept")
+        # the probe accepts the single clause under strict ties before any
+        # SAT instance is built
+        monkeypatch.setattr(septest.satcore, "Solver", forbidden)
+        verdict = decide(reduce_formula(single_clause), "strict")
+        assert verdict.rationalizable
+        assert verdict.stats["iterations"] == verdict.witness.iterations == 0
 
     def test_data_without_bundles_is_rationalizable(self):
-        # the empty grid leaves nothing to order, so both deciders accept
-        # with an empty witness
+        # the empty grid leaves nothing to order, so the decider and the
+        # oracle accept with an empty witness
         ds = Dataset(n_z=2, n_o=7, observations=(), evaluation_points=())
         grid = build_grid(ds)
-        for method in ("auto", "cegar"):
-            verdict = decide(ds, tie_mode="strict", method=method)
+        for verdict in (decide(ds, tie_mode="strict"), decide_bruteforce(
+                ds, build_grid(ds, "per-level-union"), "strict")):
             assert verdict.rationalizable
             assert verdict.stats["grid"] == "full-product"
             assert verdict.witness.u_order == verdict.witness.v_order == ()
@@ -653,12 +696,15 @@ def test_grid_modes_agree_on_compiled_datasets():
 def test_verdicts_name_the_grid_they_were_decided_over(single_clause):
     compiled = reduce_formula(single_clause)
     foreign = one_point_dataset()
-    for method in ("bruteforce", "cegar"):
-        assert decide(compiled, tie_mode="strict", method=method
-                      ).stats["grid"] == "per-level-union"
-        assert decide(compiled, tie_mode="strict", method=method,
-                      grid_mode="full-product").stats["grid"] == "full-product"
-        assert decide(foreign, method=method).stats["grid"] == "full-product"
+
+    def oracle(ds, tie_mode="weak", grid_mode="per-level-union"):
+        return decide_bruteforce(ds, build_grid(ds, grid_mode), tie_mode)
+    for decider in (decide, oracle):
+        assert decider(compiled, tie_mode="strict"
+                       ).stats["grid"] == "per-level-union"
+        assert decider(compiled, tie_mode="strict",
+                       grid_mode="full-product").stats["grid"] == "full-product"
+        assert decider(foreign).stats["grid"] == "full-product"
 
 
 def _all_pairs_edge_families(ds, grid, tie_mode):
