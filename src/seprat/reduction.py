@@ -41,8 +41,9 @@ For a formula with L clauses the per-clause blocks are embedded into R^9:
 bundle t of clause l gains a level offset c_l in coordinate 9 and every
 price pays 1 for that coordinate, which makes each higher block strictly
 revealed preferred to all lower blocks and never conversely (also verified
-exhaustively at build time).  Offsets are M*2^l in "paper" mode or l*C
-with a polynomially sized C in "linear" mode.
+at build time: a cost bound per observation, with an exhaustive fallback).
+Offsets are M*2^l in "paper" mode or l*C with a polynomially sized C in
+"linear" mode.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ import json
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .cnf import Clause, CnfFormula
 from .numerics import dot, format_rational, parse_rational
@@ -289,42 +291,88 @@ def _offsets(mode: str, count: int, gc: GadgetConstants,
     return [l * big for l in range(1, count + 1)]
 
 
+_O_PARTS = sorted(set(_SLOT_O.values()))
+
+
 def _verify_level_separation(gadgets: list, offsets: list,
                              observations: list) -> None:
-    """Exhaustive cross-level check on the final 9-dimensional data.
+    """Cross-level check on the final 9-dimensional data.
 
     Every observation must overspend on each grid point of any lower
     level (so the weak relation points downward) and underspend on every
     point of any higher level (so it never points upward).  A point of
     level l is z + o + (c_l,), so its cost splits exactly into a z-cost,
-    an o-cost and an offset cost; those are computed once per observation
-    and every point's sum is compared.
+    an o-cost and the offset cost p_off * c_l.
+
+    Each observation is first held against two bounds.  No lower-level
+    point costs more than the largest z-cost plus the largest o-cost plus
+    p_off times the largest lower offset; no higher-level point costs less
+    than the smallest z-cost plus the smallest o-cost plus p_off times the
+    smallest higher offset.  The z-cost extremes run over the union of all
+    levels' z-parts, a superset of each level's, and are taken once per
+    distinct price; the offset extremes come from a prefix maximum and a
+    suffix minimum over `offsets`, so they hold in whatever order the
+    offsets come.  With p_off > 0 the offset cost grows with the offset,
+    so a budget above the first bound and below the second proves the
+    observation separated.  Otherwise the observation goes to the exact
+    per-point loop, `_exact_level_separation`, which decides it and raises
+    on its first failing level.  On unperturbed compiled data the bounds
+    hold in both offset modes (linear mode picks C from these very
+    extremes), so the exact loop never runs.
     """
-    o_parts = sorted(set(_SLOT_O.values()))
     level_z = [sorted(set(b[:Z_DIM] for b in g.bundles.values()))
                for g in gadgets]
+    all_z = set().union(*level_z)
+    # below[i] = max(offsets[:i]) and above[i] = min(offsets[i:]), None
+    # where that is empty; levels past the shorter list are never checked
+    n = min(len(level_z), len(offsets))
+    below = [None, *accumulate(offsets[:n], max)]
+    above = [*accumulate(reversed(offsets[:n]), min)][::-1] + [None]
+    z_range, o_range = {}, {}
     for obs in observations:
         budget = dot(obs.p, obs.x)
         pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
-        o_costs = [dot(po, o) for o in o_parts]
-        z_costs = {}
-        for other, (zs, off) in enumerate(zip(level_z, offsets)):
-            if other + 1 == obs.clause:
-                continue
-            for z in zs:
-                if z not in z_costs:
-                    z_costs[z] = dot(pz, z)
-                base = z_costs[z] + p_off * off
-                if other + 1 < obs.clause and \
-                        not all(base + oc < budget for oc in o_costs):
-                    raise ConstructionError(
-                        f"level {obs.clause} observation k={obs.k} does not "
-                        f"dominate level {other + 1}")
-                if other + 1 > obs.clause and \
-                        not all(base + oc > budget for oc in o_costs):
-                    raise ConstructionError(
-                        f"level {obs.clause} observation k={obs.k} reaches "
-                        f"into level {other + 1}")
+        if pz not in z_range:
+            costs = [dot(pz, z) for z in all_z]
+            z_range[pz] = (min(costs), max(costs))
+        if po not in o_range:
+            costs = [dot(po, o) for o in _O_PARTS]
+            o_range[po] = (min(costs), max(costs))
+        (z_lo, z_hi), (o_lo, o_hi) = z_range[pz], o_range[po]
+        low_off = below[min(max(obs.clause - 1, 0), n)]
+        high_off = above[min(max(obs.clause, 0), n)]
+        if not (p_off > 0
+                and (low_off is None or z_hi + o_hi + p_off * low_off < budget)
+                and (high_off is None
+                     or z_lo + o_lo + p_off * high_off > budget)):
+            _exact_level_separation(level_z, offsets, obs)
+
+
+def _exact_level_separation(level_z: list, offsets: list,
+                            obs: Observation) -> None:
+    """Compare one observation's budget with every point of every other
+    level: each level's z-parts, each paired with every slot o-part."""
+    budget = dot(obs.p, obs.x)
+    pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
+    o_costs = [dot(po, o) for o in _O_PARTS]
+    z_costs = {}
+    for other, (zs, off) in enumerate(zip(level_z, offsets)):
+        if other + 1 == obs.clause:
+            continue
+        for z in zs:
+            if z not in z_costs:
+                z_costs[z] = dot(pz, z)
+            base = z_costs[z] + p_off * off
+            if other + 1 < obs.clause and \
+                    not all(base + oc < budget for oc in o_costs):
+                raise ConstructionError(
+                    f"level {obs.clause} observation k={obs.k} does not "
+                    f"dominate level {other + 1}")
+            if other + 1 > obs.clause and \
+                    not all(base + oc > budget for oc in o_costs):
+                raise ConstructionError(
+                    f"level {obs.clause} observation k={obs.k} reaches "
+                    f"into level {other + 1}")
 
 
 def _verify_block_chains(observations: list, evaluation_points: list,
@@ -353,14 +401,16 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
     so all prices are strictly positive; the block chains and the level
     separation are then re-verified against the perturbed prices.
     """
+    if offset_mode not in ("paper", "linear"):
+        raise ValueError(f"unknown offset mode {offset_mode!r}")
+    eta = Fraction(positive_prices)
+    if eta < 0:
+        raise ValueError("positive-prices perturbation must be nonnegative")
+
     bp = base_points(f.var_count)
     gc = compute_epsilon_M(bp)
     gadgets = [build_clause_gadget(c, bp, gc) for c in f.clauses]
     offsets = _offsets(offset_mode, len(gadgets), gc, gadgets)
-
-    eta = Fraction(positive_prices)
-    if eta < 0:
-        raise ValueError("positive-prices perturbation must be nonnegative")
 
     observations = []
     evaluation_points = []
@@ -388,25 +438,40 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
 
 # -- dataset serialization ------------------------------------------------
 
+_JSON_ENCODER = json.JSONEncoder(indent=2)
+
+
 def dataset_to_json(ds: Dataset) -> str:
-    """Bit-exact JSON with rationals encoded as "a/b" strings."""
+    """Bit-exact JSON with rationals encoded as "a/b" strings.
+
+    The text is that of `json.dumps(doc, indent=2)` for the whole
+    document, but each observation and evaluation point is encoded on its
+    own and indented into its list, so the encoder's pieces for all rows
+    (several per rational) never exist at once.
+    """
     def vec(x):
         return [format_rational(v) for v in x]
 
-    doc = {
+    def rows(items, row):
+        if not items:
+            return "[]"
+        return "[\n    " + ",\n    ".join(
+            _JSON_ENCODER.encode(row(item)).replace("\n", "\n    ")
+            for item in items) + "\n  ]"
+
+    head = _JSON_ENCODER.encode({
         "n_z": ds.n_z,
         "n_o": ds.n_o,
         "offset_mode": ds.offset_mode,
         "epsilon": None if ds.epsilon is None else format_rational(ds.epsilon),
         "M": None if ds.M is None else format_rational(ds.M),
-        "observations": [
-            {"x": vec(o.x), "p": vec(o.p), "clause": o.clause, "k": o.k}
-            for o in ds.observations],
-        "evaluation_points": [
-            {"x": vec(e.x), "clause": e.clause, "t": e.t}
-            for e in ds.evaluation_points],
-    }
-    return json.dumps(doc, indent=2)
+    })
+    observations = rows(ds.observations, lambda o: {
+        "x": vec(o.x), "p": vec(o.p), "clause": o.clause, "k": o.k})
+    evaluation_points = rows(ds.evaluation_points, lambda e: {
+        "x": vec(e.x), "clause": e.clause, "t": e.t})
+    return (head[:-2] + ',\n  "observations": ' + observations
+            + ',\n  "evaluation_points": ' + evaluation_points + "\n}")
 
 
 def dataset_from_json(text: str) -> Dataset:

@@ -4,12 +4,18 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
-from seprat.numerics import dominates
-from seprat.reduction import Dataset, EvaluationPoint, Observation
+from seprat.numerics import dominates, dot
+from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
+                              EvaluationPoint, Observation)
 from seprat.rpcore import Grid, revealed_relation
 from seprat.septest import SeparabilityWitness, WitnessCheck
 
 SINGLE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
+
+# Satisfiable (1 and 2 false, 3 true), yet weak ties reject its compiled
+# data in both offset modes; strict ties accept it.
+WEAK_TIE_COUNTEREXAMPLE = ("p cnf 3 4\n3 1 2 0\n3 -1 -2 0\n-3 1 -2 0\n"
+                           "-1 2 -3 0\n")
 
 # Every sign pattern over (x1, x2, x3): unsatisfiable, and the smallest
 # 3SAT instance that is (eight clauses partition the assignment cube).
@@ -116,3 +122,41 @@ def pairwise_verify_witness(ds: Dataset, grid: Grid,
                     False, f"v-order violates the dominance edge from "
                            f"point {i} to {j}")
     return WitnessCheck(True, None)
+
+
+def exhaustive_level_separation(gadgets: list, offsets: list,
+                                observations: list) -> None:
+    """Point-by-point cross-level check: the oracle for
+    `seprat.reduction._verify_level_separation`.
+
+    Every observation must overspend on each grid point of any lower
+    level and underspend on every point of any higher level.  A point of
+    level l is z + o + (c_l,), so its cost splits exactly into a z-cost,
+    an o-cost and an offset cost; those are computed once per observation
+    and every point's sum is compared.
+    """
+    o_parts = sorted(set(_SLOT_O.values()))
+    level_z = [sorted(set(b[:Z_DIM] for b in g.bundles.values()))
+               for g in gadgets]
+    for obs in observations:
+        budget = dot(obs.p, obs.x)
+        pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
+        o_costs = [dot(po, o) for o in o_parts]
+        z_costs = {}
+        for other, (zs, off) in enumerate(zip(level_z, offsets)):
+            if other + 1 == obs.clause:
+                continue
+            for z in zs:
+                if z not in z_costs:
+                    z_costs[z] = dot(pz, z)
+                base = z_costs[z] + p_off * off
+                if other + 1 < obs.clause and \
+                        not all(base + oc < budget for oc in o_costs):
+                    raise ConstructionError(
+                        f"level {obs.clause} observation k={obs.k} does not "
+                        f"dominate level {other + 1}")
+                if other + 1 > obs.clause and \
+                        not all(base + oc > budget for oc in o_costs):
+                    raise ConstructionError(
+                        f"level {obs.clause} observation k={obs.k} reaches "
+                        f"into level {other + 1}")

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,12 +9,13 @@ import pytest
 from seprat import cnf, reduction
 from seprat.numerics import dot, parse_rational
 from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
-                              OBSERVED_SLOTS, ConstructionError, DatasetError,
-                              SizeGuardExceeded, base_points,
+                              OBSERVED_SLOTS, ConstructionError, Dataset,
+                              DatasetError, SizeGuardExceeded, base_points,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
-from tests.conftest import SINGLE_CLAUSE, SLOT_CONFLICT
+from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
+                            exhaustive_level_separation)
 
 F = Fraction
 ONES = (F(1), F(1))
@@ -340,14 +343,150 @@ class TestReduce:
             reduce_formula(single_clause, "paper", F(1000))
 
 
+def separation_inputs(f, mode):
+    """The (gadgets, offsets, observations) that reduce_formula hands to
+    its level-separation check."""
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reduction, "_verify_level_separation",
+                   lambda *args: calls.append(args))
+        reduce_formula(f, mode)
+    return calls[0]
+
+
+def relevel(observations, offsets):
+    """Observations moved to the given offsets, as if _offsets chose them."""
+    return [dataclasses.replace(o, x=o.x[:-1] + (offsets[o.clause - 1],))
+            for o in observations]
+
+
+def separation_outcome(check, gadgets, offsets, observations):
+    try:
+        check(gadgets, offsets, observations)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+class TestLevelSeparation:
+    def separation_corpus(self):
+        """Fixed-seed inputs to the level-separation check: compiled data
+        in both offset modes, then with rescaled, equal, permuted or
+        tightened offsets, perturbed prices, or permuted offsets under a
+        negative offset price."""
+        rng = random.Random(1616)
+        formulas = [cnf.parse_dimacs(SLOT_CONFLICT)] + [
+            cnf.random_formula(rng, rng.randint(3, 6), rng.randint(2, 5))
+            for _ in range(6)]
+        for f in formulas:
+            for mode in ("paper", "linear"):
+                gadgets, offsets, obs = separation_inputs(f, mode)
+                shuffled = offsets[:]
+                rng.shuffle(shuffled)
+                variants = [(offsets, obs)]
+                # one less per level puts linear mode's tightest
+                # observation exactly on its bound
+                tight = [c - l for l, c in enumerate(offsets, start=1)]
+                for moved in ([c * F(1, 2) for c in offsets],
+                              [c / 1000 for c in offsets],
+                              [offsets[0]] * len(offsets), shuffled, tight):
+                    variants.append((moved, relevel(obs, moved)))
+                for eta in (F(1, 10 ** 6), F(1), F(1000)):
+                    variants.append((offsets, [dataclasses.replace(
+                        o, p=tuple(c if c else eta for c in o.p))
+                        for o in obs]))
+                variants.append((shuffled, [dataclasses.replace(
+                    o, p=o.p[:-1] + (F(-1),))
+                    for o in relevel(obs, shuffled)]))
+                for offs, rows in variants:
+                    yield gadgets, offs, rows
+                    level = rng.randint(1, len(gadgets))
+                    yield gadgets, offs, [o for o in rows
+                                          if o.clause == level]
+
+    def test_agrees_with_the_exhaustive_oracle(self):
+        messages = []
+        for gadgets, offsets, obs in self.separation_corpus():
+            expected = separation_outcome(exhaustive_level_separation,
+                                          gadgets, offsets, obs)
+            assert separation_outcome(reduction._verify_level_separation,
+                                      gadgets, offsets, obs) == expected
+            messages.append(expected)
+        # the corpus holds passing cases and raising ones in each direction
+        assert None in messages
+        assert any(m and "does not dominate" in m for m in messages)
+        assert any(m and "reaches into" in m for m in messages)
+
+    def test_lower_offsets_bound_by_their_maximum(self):
+        # level 1 sits above level 3 although level 2, the neighbour, sits
+        # below it: a bound from neighbouring offsets would pass this
+        f = cnf.random_formula(random.Random(5), 7, 3)
+        gadgets, offsets, obs = separation_inputs(f, "linear")
+        c = offsets[0]
+        offsets = [3 * c, c, 2 * c]
+        level_three = [o for o in relevel(obs, offsets) if o.clause == 3]
+        with pytest.raises(ConstructionError, match="level 3 observation "
+                           "k=1 does not dominate level 1"):
+            reduction._verify_level_separation(gadgets, offsets, level_three)
+
+    def test_compiled_data_never_needs_the_exact_loop(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("exact level-separation loop ran")
+
+        monkeypatch.setattr(reduction, "_exact_level_separation", forbidden)
+        rng = random.Random(16)
+        formulas = [cnf.parse_dimacs(text) for text in
+                    (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
+        formulas += [cnf.random_formula(rng, L + 2, L) for L in (2, 5, 10, 20)]
+        for f in formulas:
+            for mode in ("paper", "linear"):
+                reduce_formula(f, mode)
+
+    def test_inputs_are_validated_before_the_build(self, monkeypatch,
+                                                   single_clause):
+        def forbidden(*args):
+            raise AssertionError("base points built for a rejected input")
+
+        monkeypatch.setattr(reduction, "base_points", forbidden)
+        with pytest.raises(ValueError, match="unknown offset mode"):
+            reduce_formula(single_clause, "exponential")
+        with pytest.raises(ValueError, match="must be nonnegative"):
+            reduce_formula(single_clause, "paper", F(-1, 2))
+
+
 class TestDatasetJson:
     def test_round_trip_is_bit_exact(self, single_clause):
         ds = reduce_formula(single_clause)
         again = dataset_from_json(dataset_to_json(ds))
         assert again == ds
 
+    def test_text_is_the_indented_dump_of_the_document(self, single_clause):
+        # rows are encoded one at a time; the text must match the one-shot
+        # json.dumps of the whole document, also for empty row lists
+        cases = [reduce_formula(single_clause),
+                 reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT), "linear",
+                                F(1, 7)),
+                 Dataset(n_z=1, n_o=0, observations=(), evaluation_points=()),
+                 dataset_from_json(
+                     '{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", '
+                     '"2"], "p": ["1", "-1/2"]}]}')]
+        for ds in cases:
+            def vec(x):
+                return [str(v) for v in x]
+            doc = {
+                "n_z": ds.n_z, "n_o": ds.n_o, "offset_mode": ds.offset_mode,
+                "epsilon": None if ds.epsilon is None else str(ds.epsilon),
+                "M": None if ds.M is None else str(ds.M),
+                "observations": [
+                    {"x": vec(o.x), "p": vec(o.p), "clause": o.clause,
+                     "k": o.k} for o in ds.observations],
+                "evaluation_points": [
+                    {"x": vec(e.x), "clause": e.clause, "t": e.t}
+                    for e in ds.evaluation_points],
+            }
+            assert dataset_to_json(ds) == json.dumps(doc, indent=2)
+
     def test_rationals_serialized_as_strings(self, single_clause):
-        import json
         ds = reduce_formula(single_clause)
         doc = json.loads(dataset_to_json(ds))
         assert doc["n_z"] == 2 and doc["n_o"] == 7

@@ -20,7 +20,8 @@ from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
-                            pairwise_verify_witness, random_foreign_dataset)
+                            WEAK_TIE_COUNTEREXAMPLE, pairwise_verify_witness,
+                            random_foreign_dataset)
 
 F = Fraction
 
@@ -265,7 +266,8 @@ class TestConstructionSemantics:
     exactly (see also the acceptance suite):
 
     * weak (<=) and strict affordability give the same verdicts on the
-      named formulas;
+      named formulas, but not on all compiled data: weak ties reject the
+      satisfiable WEAK_TIE_COUNTEREXAMPLE;
     * a clause block ties the u-order only through the three column-shared
       slot pairs (w3, w4), (w6, w7), (w9, w1), one per variable, so no
       order between different variables is forced and clauses whose slots
@@ -292,6 +294,21 @@ class TestConstructionSemantics:
         ds = reduce_formula(single_clause, "paper", F(1, 10 ** 6))
         assert decide(ds, tie_mode="weak").rationalizable
         assert decide(ds, tie_mode="strict").rationalizable
+
+    def test_weak_ties_reject_a_satisfiable_formula(self):
+        # strict ties are the semantics the construction is proved under;
+        # weak ties also relate each observation to the equally priced
+        # points on its price line, which closes a cycle here
+        f = cnf.parse_dimacs(WEAK_TIE_COUNTEREXAMPLE)
+        assert cnf.brute_force_sat(f) == {1: False, 2: False, 3: True}
+        for mode in ("paper", "linear"):
+            ds = reduce_formula(f, mode)
+            strict = decide(ds, tie_mode="strict")
+            weak = decide(ds, tie_mode="weak")
+            assert (strict.status, strict.stats["iterations"]) == \
+                ("rationalizable", 3), mode
+            assert (weak.status, weak.stats["iterations"]) == \
+                ("not-rationalizable", 101), mode
 
     def test_slot_conflict_formula_is_satisfiable_and_accepted(self):
         # The two clauses put variables 1 and 2 in reversed slots; that is
