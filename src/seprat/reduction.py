@@ -266,6 +266,18 @@ def build_clause_gadget(clause: Clause, bp: BasePoints,
     return ClauseGadget(bundles, prices)
 
 
+_O_PARTS = sorted(set(_SLOT_O.values()))
+
+
+def _cost_range(ranges: dict, price: tuple, parts) -> tuple:
+    """(least, greatest) cost of `parts` at `price`, cached in `ranges`
+    per distinct price."""
+    if price not in ranges:
+        costs = [dot(price, part) for part in parts]
+        ranges[price] = (min(costs), max(costs))
+    return ranges[price]
+
+
 def _offsets(mode: str, count: int, gc: GadgetConstants,
              gadgets: list) -> list[Fraction]:
     if mode == "paper":
@@ -275,23 +287,20 @@ def _offsets(mode: str, count: int, gc: GadgetConstants,
     # C must beat |r_k . g - r_k . w_k| for every observation k and every
     # level-free grid point g, including cross pairings of z- and o-parts
     # from different clause blocks.  Over that product of z- and o-costs
-    # the largest gap is reached at the extremes.
+    # the largest gap is reached at the extremes, which are taken once per
+    # distinct z- and o-price (compiled data repeats its prices).
     spread = Fraction(0)
     z_parts = set(b[:Z_DIM] for g in gadgets for b in g.bundles.values())
-    o_parts = set(_SLOT_O.values())
+    z_range, o_range = {}, {}
     for g in gadgets:
         for k in OBSERVED_SLOTS:
             price = g.prices[k]
             budget = dot(price, g.bundles[k])
-            z_costs = [dot(price[:Z_DIM], zp) for zp in z_parts]
-            o_costs = [dot(price[Z_DIM:], op) for op in o_parts]
-            spread = max(spread, max(z_costs) + max(o_costs) - budget,
-                         budget - min(z_costs) - min(o_costs))
+            z_lo, z_hi = _cost_range(z_range, price[:Z_DIM], z_parts)
+            o_lo, o_hi = _cost_range(o_range, price[Z_DIM:], _O_PARTS)
+            spread = max(spread, z_hi + o_hi - budget, budget - z_lo - o_lo)
     big = 1 + spread
     return [l * big for l in range(1, count + 1)]
-
-
-_O_PARTS = sorted(set(_SLOT_O.values()))
 
 
 def _verify_level_separation(gadgets: list, offsets: list,
@@ -331,14 +340,9 @@ def _verify_level_separation(gadgets: list, offsets: list,
     z_range, o_range = {}, {}
     for obs in observations:
         budget = dot(obs.p, obs.x)
-        pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
-        if pz not in z_range:
-            costs = [dot(pz, z) for z in all_z]
-            z_range[pz] = (min(costs), max(costs))
-        if po not in o_range:
-            costs = [dot(po, o) for o in _O_PARTS]
-            o_range[po] = (min(costs), max(costs))
-        (z_lo, z_hi), (o_lo, o_hi) = z_range[pz], o_range[po]
+        p_off = obs.p[-1]
+        z_lo, z_hi = _cost_range(z_range, obs.p[:Z_DIM], all_z)
+        o_lo, o_hi = _cost_range(o_range, obs.p[Z_DIM:-1], _O_PARTS)
         low_off = below[min(max(obs.clause - 1, 0), n)]
         high_off = above[min(max(obs.clause, 0), n)]
         if not (p_off > 0

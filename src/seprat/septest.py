@@ -26,8 +26,16 @@ point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
 order.  Costs are taken once per distinct price: compiled data repeats
 its prices across levels, so most observations need no inner product.
-Each blocking clause comes from the cycle with the fewest order-gated
-edges through a gated edge of the cycle found.
+
+The SAT encoding has order variables only for the relevant z-pairs: those
+that share an o-column in a component holding a frozen edge, those of
+inner dominance candidates, and dominance or pinned pairs.  Transitivity
+covers only triples whose three pairs are relevant, so a model's order
+relation can still be cyclic; such a cycle is blocked lazily, as one
+clause.  Each blocking clause comes from the cycle with the fewest
+order-gated edges through a gated edge of the cycle found, and a run of
+2-edges down one o-column is blocked as the single order literal between
+its ends.
 """
 
 from __future__ import annotations
@@ -264,26 +272,50 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
     return TestVerdict(status, witness, stats)
 
 
-def _order_var_map(nz: int):
-    """SAT variables above(a, b) for every ordered pair of z-parts."""
-    var = {}
-    for a in range(nz):
-        for b in range(nz):
-            if a != b:
-                var[(a, b)] = len(var) + 1
-    return var
+def _relevant_pairs(arena: _Arena, units) -> set:
+    """The unordered z-part pairs (a, b), a < b, whose order can gate an
+    edge of a cycle: pairs that share an o-column in a component holding a
+    frozen edge (every cycle holds a 1-edge, and 1-edges are frozen), the
+    pairs of inner dominance candidates, and the pairs of `units`.  No
+    other pair's order changes whether the relation has a cycle."""
+    pt_z, comp = arena.grid.pt_z, arena.comp
+    cyclic = {comp[s] for s, dsts in enumerate(arena.fixed) if dsts}
+    # the columns of one level, or of a full-product grid, share a z-set
+    z_sets = {tuple(sorted(pt_z[j] for j in pts))
+              for pts in arena.columns.values() if comp[pts[0]] in cyclic}
+    pairs = set()
+    for zs in z_sets:
+        pairs.update(itertools.combinations(zs, 2))
+    for *_, a, b in arena.dom_candidates:
+        pairs.add((min(a, b), max(a, b)))
+    for a, b in units:
+        pairs.add((min(a, b), max(a, b)))
+    return pairs
 
 
-def _order_instance(nz: int, var: dict,
-                    extra_units=()) -> satcore.SatInstance:
+def _order_var_map(pairs) -> dict:
+    """SAT variables above(a, b) for both orders of each pair in `pairs`,
+    numbered in lexicographic order of (a, b)."""
+    ordered = sorted([*pairs, *((b, a) for a, b in pairs)])
+    return {pair: v for v, pair in enumerate(ordered, 1)}
+
+
+def _order_instance(var: dict, extra_units=()) -> satcore.SatInstance:
+    """Exactly one of above(a, b) and above(b, a) per pair, transitivity
+    for each triple whose three pairs all have variables, and the units.
+    A model's `above` relation can still be cyclic; `_cegar_search` cuts
+    such a cycle lazily."""
+    succ = {}
+    for a, b in var:
+        succ.setdefault(a, []).append(b)
     clauses = []
-    for a in range(nz):
-        for b in range(a + 1, nz):
-            clauses.append([var[(a, b)], var[(b, a)]])
-            clauses.append([-var[(a, b)], -var[(b, a)]])
+    for (a, b), ab in var.items():
+        if a < b:
+            clauses.append([ab, var[(b, a)]])
+            clauses.append([-ab, -var[(b, a)]])
     for (a, b), ab in var.items():
         clauses.extend([-ab, -var[(b, c)], var[(a, c)]]
-                       for c in range(nz) if c != a and c != b)
+                       for c in succ[b] if c != a and (a, c) in var)
     for a, b in extra_units:
         clauses.append([var[(a, b)]])
     return satcore.SatInstance(len(var), clauses)
@@ -299,10 +331,22 @@ def _cegar_search(arena: _Arena, extra_units=(),
 
     The probe, brute force's first order, is accepted with no iterations
     when its graph is acyclic; otherwise the SAT search runs as if it had
-    not.  The arena's graph holds only edges inside its components, which is
-    where every cycle lies.  Each blocking clause comes from the cycle with
-    the fewest order-gated edges through some gated edge of the cycle
-    found; since the frozen edges alone are acyclic, every cycle has one.
+    not.  Its order variables cover only the relevant pairs
+    (`_relevant_pairs`): an order that agrees with a model on them has a
+    cycle exactly when the model's own lowest-index linear extension has
+    one.  When a model's `above` relation is itself cyclic (a cycle
+    through pairs that close no transitivity triangle), that cycle's
+    literals are blocked as one clause, a lazy order cut that does not
+    count as an iteration.
+
+    The arena's graph holds only edges inside its components, which is
+    where every cycle lies.  Each blocking clause comes from the cycle
+    with the fewest order-gated edges through some gated edge of the
+    cycle found; since the frozen edges alone are acyclic, every cycle
+    has one.  A run of consecutive 2-edges in one o-column, z_a -> ... ->
+    z_c, is blocked as the single literal above(z_a, z_c): under that
+    pair the full 2-edge family holds (z_a, o) -> (z_c, o), so the cycle
+    survives in every order that keeps the clause's other literals.
     """
     frozen = arena.fixed
     nz = arena.nz
@@ -314,31 +358,62 @@ def _cegar_search(arena: _Arena, extra_units=(),
     v_order = arena.v_order(arena.adjacency_under(rank))
     if v_order is not None:
         return tuple(perm), tuple(v_order), 0
-    pt_z = arena.grid.pt_z
-    var = _order_var_map(nz)
-    solver = satcore.Solver(_order_instance(nz, var, units), conflict_limit)
+    var = _order_var_map(_relevant_pairs(arena, units))
+    solver = satcore.Solver(_order_instance(var, units), conflict_limit)
     iterations = 0
     while True:
         result = solver.solve()
         if result.status == "unsat":
             return None, None, iterations
-        perm, rank = _total_order(nz, [pair for pair, v in var.items()
-                                       if result.model[v - 1]])
+        above = [pair for pair, v in var.items() if result.model[v - 1]]
+        order = _total_order(nz, above)
+        if order is None:
+            below = [[] for _ in range(nz)]
+            for a, b in above:
+                below[a].append(b)
+            cut = list(_cycle_edges(find_cycle_in_adjacency(below)))
+            solver.add_clause([-var[pair] for pair in cut])
+            log.debug("lazy order cut: blocked the %d-pair order cycle %s",
+                      len(cut), cut)
+            continue
+        perm, rank = order
         adj = arena.adjacency_under(rank)
         for lst in adj:
             lst.sort()
         cycle = find_cycle_in_adjacency(adj)
         if cycle is None:
             return tuple(perm), tuple(arena.v_order(adj)), iterations
-        conditions = []
-        for s, d in _cycle_edges(_fewest_gated_cycle(adj, frozen, cycle)):
-            cond = (pt_z[s], pt_z[d])
-            if d not in frozen[s] and cond not in conditions:
-                conditions.append(cond)
-        solver.add_clause([-var[c] for c in conditions])
+        cycle = _fewest_gated_cycle(adj, frozen, cycle)
+        pairs, gated = _blocked_pairs(arena, cycle)
+        solver.add_clause([-var[pair] for pair in pairs])
         iterations += 1
-        log.debug("refinement %d: blocked %d order literals",
-                  iterations, len(conditions))
+        log.debug("refinement %d: component %d, blocked %d order literals "
+                  "(%d before the column-run shortcut)", iterations,
+                  arena.comp[cycle[0]], len(pairs), gated)
+
+
+def _blocked_pairs(arena: _Arena, cycle: list) -> tuple:
+    """The order pairs that `cycle`'s gated edges need, each once, with
+    every maximal run of 2-edges in one o-column z_a -> ... -> z_c as the
+    single pair (z_a, z_c); also the number of distinct gated pairs
+    before that shortcut.  The cycle is read from one of its frozen
+    edges, so no run wraps around its end."""
+    frozen, pt_z, pt_o = arena.fixed, arena.grid.pt_z, arena.grid.pt_o
+    edges = list(_cycle_edges(cycle))
+    start = next(i for i, (s, d) in enumerate(edges) if d in frozen[s])
+    pairs, gated, in_run = [], set(), False
+    for s, d in edges[start:] + edges[:start]:
+        if d in frozen[s]:
+            in_run = False
+            continue
+        gated.add((pt_z[s], pt_z[d]))
+        two_edge = pt_o[s] == pt_o[d]
+        if in_run and two_edge:
+            pairs[-1] = (pairs[-1][0], pt_z[d])
+        else:
+            pairs.append((pt_z[s], pt_z[d]))
+        in_run = two_edge
+    return list(dict.fromkeys(pairs)), len(gated)
 
 
 def _cycle_edges(cycle: list):

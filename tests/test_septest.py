@@ -5,6 +5,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,7 +14,8 @@ from seprat.numerics import DimensionMismatch, dominates, dot
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, dataset_to_json, reduce_formula)
 from seprat.rpcore import (GridPoint, RelationError, build_grid,
-                           find_cycle_in_adjacency, revealed_relation)
+                           find_cycle_in_adjacency, revealed_relation,
+                           topological_order)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
                             WitnessConstructionError, decide,
                             decide_bruteforce, decide_cegar,
@@ -306,9 +308,9 @@ class TestConstructionSemantics:
             strict = decide(ds, tie_mode="strict")
             weak = decide(ds, tie_mode="weak")
             assert (strict.status, strict.stats["iterations"]) == \
-                ("rationalizable", 3), mode
+                ("rationalizable", 1), mode
             assert (weak.status, weak.stats["iterations"]) == \
-                ("not-rationalizable", 101), mode
+                ("not-rationalizable", 18), mode
 
     def test_slot_conflict_formula_is_satisfiable_and_accepted(self):
         # The two clauses put variables 1 and 2 in reversed slots; that is
@@ -328,8 +330,6 @@ class TestConstructionSemantics:
         # order a falsifying assignment induces) activates all three
         # chain-closing order edges, so whatever the rest of the order
         # does, the block cycle through all six chain edges survives.
-        from seprat.rpcore import topological_order
-        from seprat.septest import _Arena
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
         arena = _Arena(ds, grid, "strict")
@@ -887,16 +887,224 @@ def test_envelope_components_hold_every_cycle():
 
 
 def test_all_sign_patterns_refines_in_few_iterations(all_sign_patterns):
-    # the bounds need each blocking clause to come from a cycle with few
-    # order-gated edges; blocking the first cycle a DFS meets takes 88
-    # (strict) and 682 (weak) iterations
+    # at most two iterations per clause under strict ties, and weak ties at
+    # most three times the strict count.  The bounds need each blocking
+    # clause to come from a cycle with few order-gated edges and each
+    # column run of 2-edges to be blocked as one literal: blocking the
+    # first cycle a DFS meets took 88 (strict) and 682 (weak) iterations,
+    # and the fewest-gated cycle without the shortcut 36 and 112
     for mode in ("paper", "linear"):
         ds = reduce_formula(all_sign_patterns, mode)
         grid = build_grid(ds)
-        for tie, most in (("strict", 40), ("weak", 125)):
-            verdict = decide_cegar(ds, grid, tie)
-            assert not verdict.rationalizable
-            assert verdict.stats["iterations"] <= most, (mode, tie)
+        strict = decide_cegar(ds, grid, "strict")
+        weak = decide_cegar(ds, grid, "weak")
+        assert not strict.rationalizable and not weak.rationalizable
+        assert strict.stats["iterations"] <= 2 * len(all_sign_patterns.clauses)
+        assert weak.stats["iterations"] <= 3 * strict.stats["iterations"]
+
+
+@pytest.fixture
+def refinement_cuts(monkeypatch):
+    """Records what the refinement adds to its SAT instance: `cuts` holds
+    every added clause as the (a, b) pairs whose above(a, b) it negates,
+    and `blocks` each blocking clause's (component, pairs, pairs before
+    the column-run shortcut)."""
+    var_maps, cuts, blocks = [], [], []
+    real_map, real_blocked = septest._order_var_map, septest._blocked_pairs
+
+    def recording_map(pairs):
+        var = real_map(pairs)
+        var_maps.append({v: pair for pair, v in var.items()})
+        return var
+
+    def recording_blocked(arena, cycle):
+        pairs, gated = real_blocked(arena, cycle)
+        blocks.append((arena.comp[cycle[0]], pairs, gated))
+        return pairs, gated
+
+    class RecordingSolver(septest.satcore.Solver):
+        def add_clause(self, clause):
+            assert all(lit < 0 for lit in clause)
+            cuts.append([var_maps[-1][-lit] for lit in clause])
+            super().add_clause(clause)
+
+    monkeypatch.setattr(septest, "_order_var_map", recording_map)
+    monkeypatch.setattr(septest, "_blocked_pairs", recording_blocked)
+    monkeypatch.setattr(septest.satcore, "Solver", RecordingSolver)
+    return cuts, blocks
+
+
+def _ranks(order, nz):
+    """Rank per z-part of `order`, best first; z-parts missing from it rank
+    below every z-part in it, by index."""
+    rank = [len(order) + z for z in range(nz)]
+    for pos, z in enumerate(order):
+        rank[z] = pos
+    return rank
+
+
+def _linear_extensions(nodes, pairs):
+    """Every order of `nodes`, best first, with a above b for each pair."""
+    above = {n: {a for a, b in pairs if b == n} for n in nodes}
+
+    def extend(prefix, placed):
+        if len(prefix) == len(nodes):
+            yield list(prefix)
+        for n in nodes:
+            if n not in placed and above[n] <= placed:
+                yield from extend(prefix + [n], placed | {n})
+    yield from extend([], frozenset())
+
+
+def _hand_built_arena(nz, columns, frozen):
+    """An `_Arena` in one component with the given columns, each a list
+    of z-parts, and frozen edges given as pairs of (column, z-part)."""
+    points = [(o, z) for o, zs in enumerate(columns) for z in zs]
+    index = {pt: j for j, pt in enumerate(points)}
+    arena = object.__new__(_Arena)
+    arena.grid = SimpleNamespace(pt_o=[o for o, _ in points],
+                                 pt_z=[z for _, z in points])
+    arena.n_points, arena.nz = len(points), nz
+    arena.columns = {o: [index[(o, z)] for z in zs]
+                     for o, zs in enumerate(columns)}
+    arena.comp = [0] * len(points)
+    arena.fixed = [set() for _ in points]
+    for src, dst in frozen:
+        arena.fixed[index[src]].add(index[dst])
+    arena.dom_candidates, arena.z_dom_pairs = [], []
+    return arena, index
+
+
+class TestSparseRefinement:
+    def test_added_clauses_hold_in_every_acyclic_order(self, refinement_cuts):
+        # every u-order that leaves the relation acyclic must satisfy every
+        # blocking clause and lazy order cut, or the search could reject
+        # rationalizable data
+        cuts, blocks = refinement_cuts
+        rng = random.Random(17)
+        refined = 0
+        while refined < 40:
+            ds = random_foreign_dataset(rng, max_z_parts=5)
+            grid = build_grid(ds)
+            for tie in ("strict", "weak"):
+                del cuts[:]
+                arena = _Arena(ds, grid, tie)
+                septest._cegar_search(arena)
+                if not cuts:
+                    continue
+                refined += 1
+                for order in itertools.permutations(range(arena.nz)):
+                    rank = _ranks(order, arena.nz)
+                    if topological_order(
+                            arena.adjacency_under(rank)) is not None:
+                        for cut in cuts:
+                            assert any(rank[a] > rank[b] for a, b in cut)
+        assert any(len(pairs) < gated for _, pairs, gated in blocks)
+
+    @pytest.mark.parametrize("text, tie, falsify", [
+        (SINGLE_CLAUSE, "strict", True), (SLOT_CONFLICT, "weak", False)],
+        ids=["single-clause-falsified", "slot-conflict-weak"])
+    def test_blocking_clauses_on_compiled_data_force_a_cycle(
+            self, refinement_cuts, text, tie, falsify):
+        # A level has 9 z-parts, too many to try every order of the whole
+        # grid in a unit test.  A cycle lies in one component, whose edges
+        # depend only on how its own z-parts are ranked, so each clause is
+        # checked from the other side: every order of its component's
+        # z-parts that respects dominance and keeps all of the clause's
+        # pairs leaves a cycle inside that component.
+        cuts, blocks = refinement_cuts
+        f = cnf.parse_dimacs(text)
+        ds = reduce_formula(f)
+        grid = build_grid(ds)
+        arena = _Arena(ds, grid, tie)
+        pins = []
+        if falsify:  # the first base bundle of each variable above its second
+            bp = base_points(f.var_count)
+            zi = {part: i for i, part in enumerate(grid.z_parts)}
+            pins = [(zi[bp.z[(v, 1)]], zi[bp.z[(v, 2)]])
+                    for v in range(1, f.var_count + 1)]
+        septest._cegar_search(arena, pins)
+        assert len(blocks) == len(cuts) == 1
+        for comp, pairs, gated in blocks:
+            inside = [j for j, c in enumerate(arena.comp) if c == comp]
+            zs = sorted({grid.pt_z[j] for j in inside})
+            dom = [(a, b) for a, b in arena.z_dom_pairs if {a, b} <= set(zs)]
+            orders = 0
+            for order in _linear_extensions(zs, dom + pairs):
+                adj = arena.adjacency_under(_ranks(order, arena.nz))
+                sub = [[d for d in adj[j] if arena.comp[d] == comp]
+                       if arena.comp[j] == comp else [] for j in range(len(adj))]
+                assert topological_order(sub) is None
+                orders += 1
+            assert orders > 0
+        assert blocks[-1][1] == cuts[-1]
+
+    def test_a_column_run_is_blocked_as_one_literal(self):
+        # z-parts 0 -> 1 -> 2 -> 3 down column 0 are three 2-edges, a
+        # dominance edge gated by above(3, 4) leaves the column and a
+        # frozen 1-edge comes back; the cycle is listed from the middle of
+        # the run, and the dominance edge is not part of the run
+        arena, index = _hand_built_arena(
+            5, [[0, 1, 2, 3], [4]], [((1, 4), (0, 0))])
+        arena.dom_candidates = [(index[(0, 3)], index[(1, 4)], 3, 4)]
+        cycle = [index[pt] for pt in ((0, 1), (0, 2), (0, 3), (1, 4), (0, 0))]
+        pairs, gated = septest._blocked_pairs(arena, cycle)
+        assert pairs == [(0, 3), (3, 4)]
+        assert gated == 4
+
+    def test_cyclic_model_gets_a_lazy_order_cut(self, refinement_cuts,
+                                                caplog):
+        # The relevant pairs of z-parts 1..4 form the chordless 4-cycle
+        # 1-2-3-4-1, so no transitivity clause ties them.  With 1 above 2
+        # above 3 pinned, a frozen edge forcing 3 above 4 and another
+        # forcing 1 above 0 (which refutes the probe), the solver's second
+        # model ranks 4 above 1: a cyclic `above` relation that must be cut
+        # without counting as an iteration.
+        cuts, blocks = refinement_cuts
+        arena, _ = _hand_built_arena(
+            5, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 1]],
+            [((0, 1), (0, 0)), ((3, 3), (3, 4))])
+        pins = [(1, 2), (2, 3)]
+        with caplog.at_level("DEBUG", logger="seprat.septest"):
+            u_order, v_order, iterations = septest._cegar_search(arena, pins)
+        lazy = [cut for cut in cuts if cut not in [b[1] for b in blocks]]
+        assert [sorted(cut) for cut in lazy] == \
+            [[(1, 2), (2, 3), (3, 4), (4, 1)]]
+        messages = [r.getMessage() for r in caplog.records]
+        assert "refinement 1: component 0, blocked 1 order literals (1 " \
+            "before the column-run shortcut)" in messages
+        assert any(m.startswith("lazy order cut: blocked the 4-pair order "
+                                "cycle") for m in messages)
+        assert iterations == len(blocks) == 1
+        acyclic = [order for order in itertools.permutations(range(5))
+                   if all(order.index(a) < order.index(b) for a, b in pins)
+                   and topological_order(
+                       arena.adjacency_under(_ranks(order, 5))) is not None]
+        assert acyclic and u_order is not None
+        assert topological_order(
+            arena.adjacency_under(_ranks(u_order, 5))) is not None
+
+    def test_order_instance_covers_only_the_relevant_pairs(self):
+        # a compiled L=6 dataset with 21 z-parts: the eager instance had
+        # 420 variables and 8,409 clauses
+        f = cnf.parse_dimacs("p cnf 7 6\n-4 6 5 0\n-4 1 3 0\n-4 1 -5 0\n"
+                             "4 5 6 0\n-6 4 5 0\n-4 7 -5 0\n")
+        ds = reduce_formula(f, "linear")
+        arena = _Arena(ds, build_grid(ds), "strict")
+        assert arena.nz == 21
+        relevant = septest._relevant_pairs(arena, arena.z_dom_pairs)
+        var = septest._order_var_map(relevant)
+        instance = septest._order_instance(var, arena.z_dom_pairs)
+        assert (instance.var_count, len(instance.clauses)) == (240, 2301)
+        assert len(var) == 2 * len(relevant)
+        pair_of = {v: pair for pair, v in var.items()}
+        for clause in instance.clauses:
+            if len(clause) == 3:
+                (a, b), (b2, c), (a2, c2) = (pair_of[abs(lit)]
+                                             for lit in clause)
+                assert (b, a2, c2) == (b2, a, c)
+                assert all((min(p), max(p)) in relevant
+                           for p in ((a, b), (b, c), (a, c)))
 
 
 def test_default_grid_agrees_with_full_product_on_foreign_data():
