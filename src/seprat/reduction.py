@@ -23,7 +23,8 @@ observations generate, among the nine bundles, exactly three chains
 
     w1 > w2 > w3,   w4 > w5 > w6,   w7 > w8 > w9
 
-of strict revealed preference, which is verified after every build.
+of strict revealed preference, which is verified on every level's emitted
+rows.
 
 Each bundle holds one unit of a single bookkeeping good, and the six goods
 in use are distinct, so no o-profile of a block dominates another.  Three
@@ -41,7 +42,7 @@ For a formula with L clauses the per-clause blocks are embedded into R^9:
 bundle t of clause l gains a level offset c_l in coordinate 9 and every
 price pays 1 for that coordinate, which makes each higher block strictly
 revealed preferred to all lower blocks and never conversely (also verified
-at build time: a cost bound per observation, with an exhaustive fallback).
+at build time, exactly, from the cheapest and dearest point of each level).
 Offsets are M*2^l in "paper" mode or l*C with a polynomially sized C in
 "linear" mode.
 """
@@ -211,7 +212,7 @@ _SLOT_O = {
 
 def build_clause_gadget(clause: Clause, bp: BasePoints,
                         gc: GadgetConstants) -> ClauseGadget:
-    """Nine bundles and six prices for one clause, with the chain verified.
+    """Nine bundles and six prices for one clause, before embedding.
 
     Negated literals use the swapped base point (q -> 3-q) for both the
     bundle and its supporting price; that includes the second price of the
@@ -252,17 +253,6 @@ def build_clause_gadget(clause: Clause, bp: BasePoints,
         7: hp(vh, nh, 2) + price_o(7),
         8: hp(vi, ni, 1) + price_o(8),
     }
-
-    edges = set()
-    for k in OBSERVED_SLOTS:
-        budget = dot(prices[k], bundles[k])
-        for t in range(1, 10):
-            if t != k and dot(prices[k], bundles[t]) < budget:
-                edges.add((k, t))
-    if edges != CHAIN_EDGES:
-        raise ConstructionError(
-            f"clause block relation {sorted(edges)} is not the three chains; "
-            f"clause {clause.to_ints()}")
     return ClauseGadget(bundles, prices)
 
 
@@ -309,92 +299,56 @@ def _verify_level_separation(gadgets: list, offsets: list,
 
     Every observation must overspend on each grid point of any lower
     level (so the weak relation points downward) and underspend on every
-    point of any higher level (so it never points upward).  A point of
-    level l is z + o + (c_l,), so its cost splits exactly into a z-cost,
-    an o-cost and the offset cost p_off * c_l.
+    point of any higher level (so it never points upward).  The grid
+    points of level l are its own z-parts, each paired with every slot
+    o-part, plus (c_l,); so the dearest point of level l costs its largest
+    z-cost plus the largest o-cost plus p_off * c_l, and the cheapest one
+    the smallest of each.
 
-    Each observation is first held against two bounds.  No lower-level
-    point costs more than the largest z-cost plus the largest o-cost plus
-    p_off times the largest lower offset; no higher-level point costs less
-    than the smallest z-cost plus the smallest o-cost plus p_off times the
-    smallest higher offset.  The z-cost extremes run over the union of all
-    levels' z-parts, a superset of each level's, and are taken once per
-    distinct price; the offset extremes come from a prefix maximum and a
-    suffix minimum over `offsets`, so they hold in whatever order the
-    offsets come.  With p_off > 0 the offset cost grows with the offset,
-    so a budget above the first bound and below the second proves the
-    observation separated.  Otherwise the observation goes to the exact
-    per-point loop, `_exact_level_separation`, which decides it and raises
-    on its first failing level.  On unperturbed compiled data the bounds
-    hold in both offset modes (linear mode picks C from these very
-    extremes), so the exact loop never runs.
+    Those per-level extremes are built once per distinct (z-price, p_off),
+    from one z-cost per distinct z-price and z-part, together with a
+    prefix maximum and a suffix minimum over the levels; an observation
+    then compares its budget with two numbers.  One that fails is walked
+    level by level and raises on its first failing level, as a
+    point-by-point comparison would.
     """
-    level_z = [sorted(set(b[:Z_DIM] for b in g.bundles.values()))
-               for g in gadgets]
-    all_z = set().union(*level_z)
-    # below[i] = max(offsets[:i]) and above[i] = min(offsets[i:]), None
-    # where that is empty; levels past the shorter list are never checked
-    n = min(len(level_z), len(offsets))
-    below = [None, *accumulate(offsets[:n], max)]
-    above = [*accumulate(reversed(offsets[:n]), min)][::-1] + [None]
-    z_range, o_range = {}, {}
+    # each level's z-parts as indices into z_parts (hashing a z-part is
+    # dearer than costing it)
+    z_parts = {}
+    level_z = [{z_parts.setdefault(b[:Z_DIM], len(z_parts))
+                for b in g.bundles.values()} for g in gadgets]
+    z_extremes, levels, o_range = {}, {}, {}
     for obs in observations:
         budget = dot(obs.p, obs.x)
-        p_off = obs.p[-1]
-        z_lo, z_hi = _cost_range(z_range, obs.p[:Z_DIM], all_z)
+        pz, p_off = obs.p[:Z_DIM], obs.p[-1]
+        if (pz, p_off) not in levels:
+            if pz not in z_extremes:
+                cost = [dot(pz, z) for z in z_parts]
+                z_extremes[pz] = [(min(cost[i] for i in zs),
+                                   max(cost[i] for i in zs))
+                                  for zs in level_z]
+            # zip stops at the shorter list: levels past it are never checked
+            pairs = list(zip(z_extremes[pz], offsets))
+            lo = [z_lo + p_off * off for (z_lo, _), off in pairs]
+            hi = [z_hi + p_off * off for (_, z_hi), off in pairs]
+            # below[i] = max(hi[:i + 1]) and above[i] = min(lo[i:])
+            levels[(pz, p_off)] = (lo, hi, list(accumulate(hi, max)),
+                                   list(accumulate(reversed(lo), min))[::-1])
+        lo, hi, below, above = levels[(pz, p_off)]
         o_lo, o_hi = _cost_range(o_range, obs.p[Z_DIM:-1], _O_PARTS)
-        low_off = below[min(max(obs.clause - 1, 0), n)]
-        high_off = above[min(max(obs.clause, 0), n)]
-        if not (p_off > 0
-                and (low_off is None or z_hi + o_hi + p_off * low_off < budget)
-                and (high_off is None
-                     or z_lo + o_lo + p_off * high_off > budget)):
-            _exact_level_separation(level_z, offsets, obs)
-
-
-def _exact_level_separation(level_z: list, offsets: list,
-                            obs: Observation) -> None:
-    """Compare one observation's budget with every point of every other
-    level: each level's z-parts, each paired with every slot o-part."""
-    budget = dot(obs.p, obs.x)
-    pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
-    o_costs = [dot(po, o) for o in _O_PARTS]
-    z_costs = {}
-    for other, (zs, off) in enumerate(zip(level_z, offsets)):
-        if other + 1 == obs.clause:
-            continue
-        for z in zs:
-            if z not in z_costs:
-                z_costs[z] = dot(pz, z)
-            base = z_costs[z] + p_off * off
-            if other + 1 < obs.clause and \
-                    not all(base + oc < budget for oc in o_costs):
-                raise ConstructionError(
-                    f"level {obs.clause} observation k={obs.k} does not "
-                    f"dominate level {other + 1}")
-            if other + 1 > obs.clause and \
-                    not all(base + oc > budget for oc in o_costs):
-                raise ConstructionError(
-                    f"level {obs.clause} observation k={obs.k} reaches "
-                    f"into level {other + 1}")
-
-
-def _verify_block_chains(observations: list, evaluation_points: list,
-                         clause_count: int) -> None:
-    """Re-check the three chains per level on the final embedded data."""
-    for l in range(1, clause_count + 1):
-        rows = {o.k: o for o in observations if o.clause == l}
-        bundles = {o.k: o.x for o in observations if o.clause == l}
-        bundles.update({e.t: e.x for e in evaluation_points if e.clause == l})
-        edges = set()
-        for k, row in rows.items():
-            budget = dot(row.p, row.x)
-            for t, x in bundles.items():
-                if t != k and dot(row.p, x) < budget:
-                    edges.add((k, t))
-        if edges != CHAIN_EDGES:
+        n = len(lo)
+        lower = min(max(obs.clause - 1, 0), n)
+        higher = min(max(obs.clause, 0), n)
+        if lower and below[lower - 1] + o_hi >= budget:
+            first = next(l for l in range(lower) if hi[l] + o_hi >= budget)
             raise ConstructionError(
-                f"level {l} relation {sorted(edges)} lost the three chains")
+                f"level {obs.clause} observation k={obs.k} does not "
+                f"dominate level {first + 1}")
+        if higher < n and above[higher] + o_lo <= budget:
+            first = next(l for l in range(higher, n) if lo[l] + o_lo <= budget)
+            raise ConstructionError(
+                f"level {obs.clause} observation k={obs.k} reaches "
+                f"into level {first + 1}")
 
 
 def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
@@ -403,7 +357,7 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
 
     positive_prices, when nonzero, is added to every zero price coordinate
     so all prices are strictly positive; the block chains and the level
-    separation are then re-verified against the perturbed prices.
+    separation are then verified against the perturbed prices.
     """
     if offset_mode not in ("paper", "linear"):
         raise ValueError(f"unknown offset mode {offset_mode!r}")
@@ -419,17 +373,24 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
     observations = []
     evaluation_points = []
     for l, (g, off) in enumerate(zip(gadgets, offsets), start=1):
+        bundles = {t: x + (off,) for t, x in g.bundles.items()}
+        edges = set()
         for k in OBSERVED_SLOTS:
             price = g.prices[k] + (Fraction(1),)
             if eta:
                 price = tuple(c if c else eta for c in price)
+            budget = dot(price, bundles[k])
+            edges.update((k, t) for t, x in bundles.items()
+                         if t != k and dot(price, x) < budget)
             observations.append(Observation(
-                x=g.bundles[k] + (off,), p=price, clause=l, k=k))
+                x=bundles[k], p=price, clause=l, k=k))
+        if edges != CHAIN_EDGES:
+            raise ConstructionError(
+                f"level {l} relation {sorted(edges)} lost the three chains")
         for t in AUXILIARY_SLOTS:
             evaluation_points.append(EvaluationPoint(
-                x=g.bundles[t] + (off,), clause=l, t=t))
+                x=bundles[t], clause=l, t=t))
 
-    _verify_block_chains(observations, evaluation_points, len(gadgets))
     _verify_level_separation(gadgets, offsets, observations)
     log.info("reduced %d clauses over %d variables: %d observations",
              len(f.clauses), f.var_count, len(observations))
@@ -533,6 +494,10 @@ def dataset_from_json(text: str) -> Dataset:
             x=vec(row["x"], dim, what),
             clause=label(row, "clause", what), t=label(row, "t", what)))
 
+    offset_mode = doc.get("offset_mode")
+    if offset_mode not in (None, "paper", "linear"):
+        raise DatasetError(f"offset_mode must be null, \"paper\" or "
+                           f"\"linear\", not {json.dumps(offset_mode)}")
     eps = doc.get("epsilon")
     big = doc.get("M")
     return Dataset(
@@ -541,4 +506,4 @@ def dataset_from_json(text: str) -> Dataset:
         evaluation_points=tuple(evaluation_points),
         epsilon=None if eps is None else parse_rational(str(eps)),
         M=None if big is None else parse_rational(str(big)),
-        offset_mode=doc.get("offset_mode"))
+        offset_mode=offset_mode)

@@ -127,13 +127,15 @@ def pairwise_verify_witness(ds: Dataset, grid: Grid,
 def exhaustive_level_separation(gadgets: list, offsets: list,
                                 observations: list) -> None:
     """Point-by-point cross-level check: the oracle for
-    `seprat.reduction._verify_level_separation`.
+    `seprat.reduction._verify_level_separation`, which must raise the same
+    message on the same inputs.
 
     Every observation must overspend on each grid point of any lower
     level and underspend on every point of any higher level.  A point of
     level l is z + o + (c_l,), so its cost splits exactly into a z-cost,
     an o-cost and an offset cost; those are computed once per observation
-    and every point's sum is compared.
+    and every point's sum is compared, level by level, so the first
+    failing level is the one named.
     """
     o_parts = sorted(set(_SLOT_O.values()))
     level_z = [sorted(set(b[:Z_DIM] for b in g.bundles.values()))

@@ -77,6 +77,7 @@ class TestReduce:
         assert code == 2
         assert out == ""
         assert "error: --positive-prices 1000" in err
+        assert "level 1 relation" in err and "lost the three chains" in err
 
 
 class TestTest:
@@ -237,6 +238,8 @@ MALFORMED_DATASETS = {
                     b'[{"x": ["1"], "p": ["1", "1"]}]}',
     "bad rational": b'{"n_z": 1, "n_o": 1, "observations": '
                     b'[{"x": ["1", "0.5"], "p": ["1", "1"]}]}',
+    "list offset_mode": b'{"n_z": 1, "n_o": 1, "offset_mode": [1, 2], '
+                        b'"observations": [{"x": ["1", "2"], "p": ["1", "1"]}]}',
     "string clause": _leveled_dataset({"clause": "2"}),
     "list clause": _leveled_dataset(eval_fields={"clause": [1]}),
     "fractional clause": _leveled_dataset({"clause": 1.5}),

@@ -14,7 +14,7 @@ from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
-from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
+from tests.conftest import (SINGLE_CLAUSE, SLOT_CONFLICT,
                             exhaustive_level_separation)
 
 F = Fraction
@@ -342,6 +342,14 @@ class TestReduce:
         with pytest.raises(ConstructionError):
             reduce_formula(single_clause, "paper", F(1000))
 
+    def test_broken_price_layout_fails_the_emitted_chain_check(
+            self, monkeypatch, single_clause):
+        # r1 charging M on w2's good loses the edge w1 -> w2
+        monkeypatch.setitem(reduction._FREE_GOODS, 1, set())
+        with pytest.raises(ConstructionError, match=r"level 1 relation "
+                           r"\[.*\] lost the three chains"):
+            reduce_formula(single_clause)
+
 
 def separation_inputs(f, mode):
     """The (gadgets, offsets, observations) that reduce_formula hands to
@@ -429,19 +437,6 @@ class TestLevelSeparation:
                            "k=1 does not dominate level 1"):
             reduction._verify_level_separation(gadgets, offsets, level_three)
 
-    def test_compiled_data_never_needs_the_exact_loop(self, monkeypatch):
-        def forbidden(*args):
-            raise AssertionError("exact level-separation loop ran")
-
-        monkeypatch.setattr(reduction, "_exact_level_separation", forbidden)
-        rng = random.Random(16)
-        formulas = [cnf.parse_dimacs(text) for text in
-                    (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
-        formulas += [cnf.random_formula(rng, L + 2, L) for L in (2, 5, 10, 20)]
-        for f in formulas:
-            for mode in ("paper", "linear"):
-                reduce_formula(f, mode)
-
     def test_inputs_are_validated_before_the_build(self, monkeypatch,
                                                    single_clause):
         def forbidden(*args):
@@ -526,6 +521,9 @@ class TestDatasetJson:
          '"p": ["1", "1"], "k": "2"}]}', "k must be an integer"),
         ('{"n_z": 1, "n_o": 1, "evaluation_points": [{"x": ["1", "1"], '
          '"t": false}]}', "t must be an integer"),
+        ('{"n_z": 1, "n_o": 1, "offset_mode": [1, 2]}', "offset_mode must be"),
+        ('{"n_z": 1, "n_o": 1, "offset_mode": "exponential"}',
+         "offset_mode must be"),
     ])
     def test_rejections(self, text, fragment):
         with pytest.raises(DatasetError, match=fragment):
