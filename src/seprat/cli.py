@@ -5,7 +5,7 @@ The grid follows from the data, and each verdict names it in `stats.grid`;
 `test` and `verify` decide with `septest.decide`, which probes, then refines.
 Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
 2 input error, 3 negative verdict when --exit-code is given, 4 conflict
-budget exhausted or compile size guard exceeded.
+budget exhausted or a size guard exceeded (compile, or `sat`'s variables).
 Set SEPRAT_LOG=debug|info|warning for logging verbosity.
 """
 
@@ -27,6 +27,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
+
+# the solver allocates per literal and scans every variable per decision
+MAX_SAT_VARIABLES = 4096
 
 
 def _setup_logging() -> None:
@@ -99,7 +102,12 @@ def _solve(formula: cnf.CnfFormula, budget: int | None) -> satcore.SatResult:
 
 
 def cmd_sat(args) -> int:
-    result = _solve(_load_formula(args.cnf), args.budget)
+    formula = _load_formula(args.cnf)
+    if formula.var_count > MAX_SAT_VARIABLES:
+        raise reduction.SizeGuardExceeded(
+            f"{formula.var_count} variables exceeds the sat guard of "
+            f"{MAX_SAT_VARIABLES}")
+    result = _solve(formula, args.budget)
     doc = {"status": result.status}
     if result.model is not None:
         doc["model"] = {str(v + 1): bool(val)
@@ -161,12 +169,14 @@ def _build_parser() -> argparse.ArgumentParser:
     budget = argparse.ArgumentParser(add_help=False)
     budget.add_argument("--budget", type=_budget, default=None, metavar="N",
                         help="conflict budget for the SAT engine, N >= 0")
+    offsets = argparse.ArgumentParser(add_help=False)
+    offsets.add_argument("--offset-mode", choices=reduction.OFFSET_MODES,
+                         default="paper")
 
-    p = sub.add_parser("reduce", help="compile a DIMACS file into a dataset")
+    p = sub.add_parser("reduce", parents=[offsets],
+                       help="compile a DIMACS file into a dataset")
     p.add_argument("cnf")
     p.add_argument("-o", "--output")
-    p.add_argument("--offset-mode", choices=("paper", "linear"),
-                   default="paper")
     p.add_argument("--positive-prices", default="0", metavar="ETA",
                    help="rational added to zero price coordinates")
     p.set_defaults(func=cmd_reduce)
@@ -186,15 +196,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-code", action="store_true")
     p.set_defaults(func=cmd_sat)
 
-    p = sub.add_parser("verify", parents=[budget],
+    p = sub.add_parser("verify", parents=[budget, offsets],
                        help="round-trip: satisfiability vs rationalizability")
     p.add_argument("cnf")
     # the acceptance criteria for compiled data are stated for strict ties;
     # an action shared through a parent parser would carry this default
     # into `test` too
     p.add_argument("--tie-mode", choices=rpcore.TIE_MODES, default="strict")
-    p.add_argument("--offset-mode", choices=("paper", "linear"),
-                   default="paper")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("export-dot", help="write the revealed graph as DOT")

@@ -77,6 +77,8 @@ _ONES2 = (Fraction(1), Fraction(1))
 # compile time grows with the square of the declared variable count
 MAX_VARIABLES = 128
 
+OFFSET_MODES = ("paper", "linear")
+
 
 class ConstructionError(RuntimeError):
     """An internal invariant of the construction failed to verify."""
@@ -87,7 +89,7 @@ class DatasetError(ValueError):
 
 
 class SizeGuardExceeded(RuntimeError):
-    """The formula declares more variables than the compile accepts."""
+    """The formula declares more variables than a size guard accepts."""
 
 
 @dataclass(frozen=True)
@@ -272,8 +274,6 @@ def _offsets(mode: str, count: int, gc: GadgetConstants,
              gadgets: list) -> list[Fraction]:
     if mode == "paper":
         return [gc.M * 2 ** l for l in range(1, count + 1)]
-    if mode != "linear":
-        raise ValueError(f"unknown offset mode {mode!r}")
     # C must beat |r_k . g - r_k . w_k| for every observation k and every
     # level-free grid point g, including cross pairings of z- and o-parts
     # from different clause blocks.  Over that product of z- and o-costs
@@ -359,7 +359,7 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
     so all prices are strictly positive; the block chains and the level
     separation are then verified against the perturbed prices.
     """
-    if offset_mode not in ("paper", "linear"):
+    if offset_mode not in OFFSET_MODES:
         raise ValueError(f"unknown offset mode {offset_mode!r}")
     eta = Fraction(positive_prices)
     if eta < 0:
@@ -495,9 +495,10 @@ def dataset_from_json(text: str) -> Dataset:
             clause=label(row, "clause", what), t=label(row, "t", what)))
 
     offset_mode = doc.get("offset_mode")
-    if offset_mode not in (None, "paper", "linear"):
-        raise DatasetError(f"offset_mode must be null, \"paper\" or "
-                           f"\"linear\", not {json.dumps(offset_mode)}")
+    if offset_mode not in (None, *OFFSET_MODES):
+        modes = " or ".join(map(json.dumps, OFFSET_MODES))
+        raise DatasetError(f"offset_mode must be null, {modes}, "
+                           f"not {json.dumps(offset_mode)}")
     eps = doc.get("epsilon")
     big = doc.get("M")
     return Dataset(

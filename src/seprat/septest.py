@@ -27,15 +27,9 @@ components in topological order of the condensation, each in its own
 order.  Costs are taken once per distinct price: compiled data repeats
 its prices across levels, so most observations need no inner product.
 
-The SAT encoding has order variables only for the relevant z-pairs: those
-that share an o-column in a component holding a frozen edge, those of
-inner dominance candidates, and dominance or pinned pairs.  Transitivity
-covers only triples whose three pairs are relevant, so a model's order
-relation can still be cyclic; such a cycle is blocked lazily, as one
-clause.  Each blocking clause comes from the cycle with the fewest
-order-gated edges through a gated edge of the cycle found, and a run of
-2-edges down one o-column is blocked as the single order literal between
-its ends.
+The SAT encoding has order variables only for the z-pairs that can gate
+a cycle (`_relevant_pairs`); `_cegar_search` says how a model's cycle
+becomes a blocking clause.
 """
 
 from __future__ import annotations
@@ -71,10 +65,9 @@ class WitnessConstructionError(RuntimeError):
 
 @dataclass(frozen=True, slots=True)
 class SeparabilityWitness:
+    """The two orders that `verify_witness` checks (`stats` says how)."""
     u_order: tuple      # z-part indices, best first
     v_order: tuple      # grid point indices, best first
-    method: str
-    iterations: int = 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -262,9 +255,7 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
         explored += 1
         order = arena.v_order(arena.adjacency_under(rank))
         if order is not None:
-            witness = SeparabilityWitness(tuple(perm), tuple(order),
-                                          "bruteforce", 0)
-            _assert_valid(ds, grid, witness, tie_mode)
+            witness = _checked(ds, grid, tie_mode, tuple(perm), tuple(order))
             break
     stats = {"method": "bruteforce", "orders_explored": explored,
              "grid": grid.mode}
@@ -473,9 +464,8 @@ def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
     stats = {"method": "cegar", "iterations": iterations, "grid": grid.mode}
     if u_order is None:
         return TestVerdict("not-rationalizable", None, stats)
-    witness = SeparabilityWitness(u_order, v_order, "cegar", iterations)
-    _assert_valid(ds, grid, witness, tie_mode)
-    return TestVerdict("rationalizable", witness, stats)
+    return TestVerdict("rationalizable",
+                       _checked(ds, grid, tie_mode, u_order, v_order), stats)
 
 
 def decide(ds: Dataset, tie_mode: str = "weak",
@@ -572,11 +562,14 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     return WitnessCheck(True, None)
 
 
-def _assert_valid(ds, grid, witness, tie_mode):
+def _checked(ds, grid, tie_mode, u_order, v_order) -> SeparabilityWitness:
+    """The witness of the two orders, once `verify_witness` accepts it."""
+    witness = SeparabilityWitness(u_order, v_order)
     check = verify_witness(ds, grid, witness, tie_mode)
     if not check.valid:
         raise RuntimeError(f"internal error: produced witness fails its own "
                            f"verification: {check.reason}")
+    return witness
 
 
 # -- from truth assignments to witnesses -------------------------------------
@@ -603,32 +596,27 @@ def truth_assignment_to_witness(f: cnf_mod.CnfFormula, ds: Dataset,
             continue  # variable unused by any clause
         pairs.append((second, first) if assignment[v] else (first, second))
 
-    u_order, v_order, iterations = _cegar_search(
-        _Arena(ds, grid, tie_mode), pairs)
+    u_order, v_order, _ = _cegar_search(_Arena(ds, grid, tie_mode), pairs)
     if u_order is None:
         raise WitnessConstructionError(
             "every order compatible with the assignment leaves a preference "
             "cycle on the grid")
-    witness = SeparabilityWitness(u_order, v_order, "assignment", iterations)
-    _assert_valid(ds, grid, witness, tie_mode)
-    return witness
+    return _checked(ds, grid, tie_mode, u_order, v_order)
 
 
 # -- witness serialization ----------------------------------------------------
 
 def witness_to_json(witness: SeparabilityWitness) -> dict:
     return {"u_order": list(witness.u_order),
-            "v_order": list(witness.v_order),
-            "method": witness.method,
-            "iterations": witness.iterations}
+            "v_order": list(witness.v_order)}
 
 
 def witness_from_json(doc: dict) -> SeparabilityWitness:
-    """Orders and iteration count must be JSON integers: a float, bool or
-    string is refused, naming its field, rather than coerced."""
-    u, v, its = doc["u_order"], doc["v_order"], doc.get("iterations", 0)
-    for key, values in (("u_order", u), ("v_order", v), ("iterations", [its])):
+    """Both orders must be lists of JSON integers: a float, bool or
+    string is refused, naming its field, rather than coerced.  Other keys
+    are ignored."""
+    for key in ("u_order", "v_order"):
+        values = doc[key]
         if not isinstance(values, list) or {type(x) for x in values} - {int}:
             raise ValueError(f"witness {key} must hold JSON integers")
-    return SeparabilityWitness(tuple(u), tuple(v),
-                               str(doc.get("method", "unknown")), its)
+    return SeparabilityWitness(tuple(doc["u_order"]), tuple(doc["v_order"]))

@@ -22,9 +22,9 @@ import pytest
 
 from seprat import cnf, satcore
 from seprat.numerics import dot
-from seprat.reduction import (CHAIN_EDGES, OBSERVED_SLOTS, base_points,
-                              build_clause_gadget, compute_epsilon_M,
-                              reduce_formula)
+from seprat.reduction import (CHAIN_EDGES, OBSERVED_SLOTS, OFFSET_MODES,
+                              base_points, build_clause_gadget,
+                              compute_epsilon_M, reduce_formula)
 from seprat.rpcore import GridPoint, build_grid, revealed_relation
 from seprat.septest import (decide, decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
@@ -33,7 +33,6 @@ from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE,
                             pairwise_verify_witness, random_foreign_dataset)
 
 CORPUS_SEED = 20260811
-OFFSET_MODES = ("paper", "linear")
 TIE = "strict"  # the construction's revealed relation is the strict one
 
 F = Fraction

@@ -10,7 +10,7 @@ import traceback
 
 import pytest
 
-from seprat import __version__, cli, cnf, reduction, septest
+from seprat import __version__, cli, cnf, reduction, satcore, septest
 from seprat.reduction import dataset_from_json
 from tests.conftest import ALL_SIGN_PATTERNS, SINGLE_CLAUSE
 
@@ -140,6 +140,34 @@ class TestSat:
         code, out, _ = run(capsys, "sat", unsat_file, "--exit-code")
         assert code == 3
         assert json.loads(out)["status"] == "unsat"
+
+    def test_variable_count_past_the_sat_guard_exits_4(self, capsys,
+                                                        monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "MAX_SAT_VARIABLES", 5)
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 5 1\n1 2 3 0\n")
+        code, out, _ = run(capsys, "sat", str(path))
+        assert code == 0 and json.loads(out)["status"] == "sat"
+        path.write_text("p cnf 6 1\n1 2 3 0\n")
+        code, out, err = run(capsys, "sat", str(path))
+        assert code == 4 and out == ""
+        assert err == "error: 6 variables exceeds the sat guard of 5\n"
+
+    @pytest.mark.parametrize("count", [100000, 10 ** 9])
+    def test_hostile_variable_count_stops_before_the_solver(
+            self, capsys, monkeypatch, tmp_path, count):
+        # the solver allocates per literal and scans every variable per
+        # decision, so a wide header must stop before either is built
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a SAT instance was built")
+        monkeypatch.setattr(satcore, "SatInstance", forbidden)
+        monkeypatch.setattr(satcore, "Solver", forbidden)
+        path = tmp_path / "wide.cnf"
+        path.write_text(f"p cnf {count} 1\n1 2 3 0\n")
+        start = time.perf_counter()
+        code, out, err = run(capsys, "sat", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 4 and out == "" and "sat guard" in err
 
 
 class TestVerify:
