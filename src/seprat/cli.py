@@ -19,7 +19,7 @@ import os
 import sys
 
 from . import __version__, cnf, reduction, rpcore, satcore, septest
-from .numerics import RationalFormatError, format_rational, parse_rational
+from .numerics import format_rational, parse_rational
 
 log = logging.getLogger(__name__)
 
@@ -219,8 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (cnf.DimacsError, cnf.FormulaError, reduction.DatasetError,
-            RationalFormatError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # input errors subclass ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (satcore.BudgetExhausted, reduction.SizeGuardExceeded) as exc:

@@ -136,13 +136,6 @@ def parse_dimacs(text: str) -> CnfFormula:
     return CnfFormula(header[0], tuple(clauses))
 
 
-def to_dimacs(f: CnfFormula) -> str:
-    lines = [f"p cnf {f.var_count} {len(f.clauses)}"]
-    for c in f.clauses:
-        lines.append(" ".join(str(l) for l in c.to_ints()) + " 0")
-    return "\n".join(lines) + "\n"
-
-
 def evaluate(f: CnfFormula, assignment: dict[int, bool]) -> bool:
     """True iff every clause has a literal satisfied by the assignment."""
     if set(assignment) != set(range(1, f.var_count + 1)):

@@ -1,4 +1,4 @@
-"""Exact rational scalars, inner products and componentwise dominance.
+"""Exact rational scalars and inner products.
 
 Data stays exact: every quantity is a `fractions.Fraction`, and nothing in
 the core touches floating point, so strict inequalities are decided
@@ -40,22 +40,11 @@ def format_rational(value: Fraction | int) -> str:
     return str(Fraction(value))
 
 
-def _check_dims(x: Sequence, y: Sequence) -> None:
-    if len(x) != len(y):
-        raise DimensionMismatch(f"dimension {len(x)} vs {len(y)}")
-
-
 def dot(p: Sequence[Fraction], x: Sequence[Fraction]) -> Fraction:
     """Exact inner product."""
-    _check_dims(p, x)
+    if len(p) != len(x):
+        raise DimensionMismatch(f"dimension {len(p)} vs {len(x)}")
     total = Fraction(0)
     for pi, xi in zip(p, x):
         total += pi * xi
     return total
-
-
-def dominates(x: Sequence[Fraction], y: Sequence[Fraction]) -> bool:
-    """True when x >= y in every coordinate and x != y (product order)."""
-    _check_dims(x, y)
-    return all(a >= b for a, b in zip(x, y)) \
-        and any(a != b for a, b in zip(x, y))

@@ -5,10 +5,14 @@ The grid collects the z- and o-projections of all bundles in a dataset
 product; a "level" is the clause index recorded by the compiler.  The
 full-product mode crosses all projections regardless of level, and data
 without clause levels, or without bundles, always gets the full product.
+`Grid` is the one map from bundles and parts to indices: `locate` and
+`sources` find a bundle's point, `z_index` a z-part's index and `columns`
+the points of each o-part.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
@@ -30,21 +34,33 @@ class RelationError(ValueError):
     """Dataset and grid do not match."""
 
 
-@dataclass(frozen=True)
-class GridPoint:
-    z: tuple
-    o: tuple
-
-
 @dataclass
 class Grid:
     z_parts: list          # deduplicated z-projections, first-appearance order
-    o_parts: list          # deduplicated o-projections
-    points: list           # GridPoint, deduplicated
+    o_parts: list          # deduplicated o-projections, first-appearance order
+    points: list           # (z-part, o-part) tuples, deduplicated
     pt_z: list             # z_parts index per point
     pt_o: list             # o_parts index per point
-    point_index: dict      # GridPoint -> index
+    point_index: dict      # (z_parts index, o_parts index) -> point index
+    n_z: int               # the z-goods lead every bundle
+    z_index: dict          # z-part -> z_parts index
+    o_index: dict          # o-part -> o_parts index
+    columns: list          # ascending point indices per o_parts index
     mode: str = "per-level-union"
+
+    def locate(self, x) -> int | None:
+        """The point of bundle `x`, or None when it is off the grid."""
+        return self.point_index.get((self.z_index.get(tuple(x[:self.n_z])),
+                                     self.o_index.get(tuple(x[self.n_z:]))))
+
+    def sources(self, ds: Dataset) -> list:
+        """Each observation's point, in row order; the error names the
+        first observation whose bundle is off the grid."""
+        srcs = [self.locate(obs.x) for obs in ds.observations]
+        if None in srcs:
+            raise RelationError(
+                f"observation {srcs.index(None)} bundle is not on the grid")
+        return srcs
 
 
 @dataclass(frozen=True)
@@ -79,37 +95,27 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
         mode = "full-product"
         groups = [[split(x) for x, _ in sources]]
 
-    z_parts, o_parts, points = [], [], []
+    # a part's index and a point's index are their first appearance
     z_index, o_index, point_index = {}, {}, {}
-    pt_z, pt_o = [], []
-
-    def intern(part, parts, index):
-        if part not in index:
-            index[part] = len(parts)
-            parts.append(part)
-        return index[part]
-
     for group in groups:
-        group_z, group_o = [], []
-        for z, o in group:
-            zi = intern(z, z_parts, z_index)
-            oi = intern(o, o_parts, o_index)
-            if zi not in group_z:
-                group_z.append(zi)
-            if oi not in group_o:
-                group_o.append(oi)
-        for zi in group_z:
-            for oi in group_o:
-                pt = GridPoint(z_parts[zi], o_parts[oi])
-                if pt not in point_index:
-                    point_index[pt] = len(points)
-                    points.append(pt)
-                    pt_z.append(zi)
-                    pt_o.append(oi)
+        group_z = dict.fromkeys(z_index.setdefault(z, len(z_index))
+                                for z, _ in group)
+        group_o = dict.fromkeys(o_index.setdefault(o, len(o_index))
+                                for _, o in group)
+        for cell in itertools.product(group_z, group_o):
+            point_index.setdefault(cell, len(point_index))
+    z_parts, o_parts = list(z_index), list(o_index)
+    points = [(z_parts[zi], o_parts[oi]) for zi, oi in point_index]
+    pt_z = [zi for zi, _ in point_index]
+    pt_o = [oi for _, oi in point_index]
+    columns = [[] for _ in o_parts]
+    for j, oi in enumerate(pt_o):
+        columns[oi].append(j)
 
     log.debug("grid: %d z-parts, %d o-parts, %d points (%s)",
               len(z_parts), len(o_parts), len(points), mode)
-    return Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, mode)
+    return Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, ds.n_z,
+                z_index, o_index, columns, mode)
 
 
 def revealed_relation(ds: Dataset, grid: Grid,
@@ -122,13 +128,7 @@ def revealed_relation(ds: Dataset, grid: Grid,
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
     graph = RevealedGraph()
-    for k, obs in enumerate(ds.observations):
-        z, o = tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])
-        try:
-            src = grid.point_index[GridPoint(z, o)]
-        except KeyError:
-            raise RelationError(
-                f"observation {k} bundle is not on the grid") from None
+    for k, (obs, src) in enumerate(zip(ds.observations, grid.sources(ds))):
         budget = dot(obs.p, obs.x)
         pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
         z_cost = [dot(pz, part) for part in grid.z_parts]
@@ -306,16 +306,15 @@ def _garp_cycle(weak, a, b):
 
 def to_dot(ds: Dataset, grid: Grid, graph: RevealedGraph) -> str:
     """Stable node names: l<level>_t<slot> from the first compiled row whose
-    bundle is the point, else g<zindex>x<oindex>."""
+    bundle is the point, else g<zindex>x<oindex>.  Every name is quoted,
+    since a level or slot read from JSON may be negative."""
     rows = [(o.x, o.clause, o.k) for o in ds.observations] \
         + [(e.x, e.clause, e.t) for e in ds.evaluation_points]
     labels = {}
     for x, level, slot in rows:
         if level is not None and slot is not None:
-            j = grid.point_index[GridPoint(tuple(x[:ds.n_z]),
-                                           tuple(x[ds.n_z:]))]
-            labels.setdefault(j, f"l{level}_t{slot}")
-    names = [labels.get(j, f"g{grid.pt_z[j]}x{grid.pt_o[j]}")
+            labels.setdefault(grid.locate(x), f"l{level}_t{slot}")
+    names = [f'"{labels.get(j, f"g{grid.pt_z[j]}x{grid.pt_o[j]}")}"'
              for j in range(len(grid.points))]
     lines = ["digraph revealed {"]
     for name in names:

@@ -46,7 +46,7 @@ from . import cnf as cnf_mod
 from . import satcore
 from .numerics import DimensionMismatch, dot
 from .reduction import Dataset, base_points
-from .rpcore import (TIE_MODES, Grid, GridPoint, RelationError, build_grid,
+from .rpcore import (TIE_MODES, Grid, RelationError, build_grid,
                      find_cycle_in_adjacency, strongly_connected_components,
                      topological_order)
 
@@ -110,6 +110,9 @@ class _Arena:
     are candidates gated by a single rank comparison.  2-edges within an
     o-column are realized as the rank-consecutive chain, which has the
     same reachability as the full family.
+
+    Points and o-columns are the grid's; `col_zs` holds each column's
+    sorted z-part indices for `_relevant_pairs`.
     """
 
     def __init__(self, ds: Dataset, grid: Grid, tie_mode: str):
@@ -117,41 +120,25 @@ class _Arena:
             raise RelationError(f"unknown tie mode {tie_mode!r}")
         weak = tie_mode == "weak"
         self.grid = grid
-        self.n_points = len(grid.points)
         self.nz = len(grid.z_parts)
         pt_z, pt_o = grid.pt_z, grid.pt_o
-        self.columns = {}
-        for j in range(self.n_points):
-            self.columns.setdefault(pt_o[j], []).append(j)
 
-        # grid parts are distinct, so >= in every coordinate dominates
+        dominating = _dominated_pairs(grid.o_parts)
         between = [set() for _ in grid.o_parts]
-        dominating = []
-        for a in self.columns:
-            oa = grid.o_parts[a]
-            for b in self.columns:
-                if a != b and all(map(ge, oa, grid.o_parts[b])):
-                    between[a].add(b)
-                    dominating.append((a, b))
+        for a, b in dominating:
+            between[a].add(b)
         # a column's cheapest point has its least z-cost; per-level grids
         # share one z-part set among the columns of a level
-        z_sets, col_set = {}, {}
-        for o, pts in self.columns.items():
-            col_set[o] = z_sets.setdefault(frozenset(pt_z[j] for j in pts),
-                                           len(z_sets))
+        self.col_zs = [tuple(sorted(pt_z[j] for j in pts))
+                       for pts in grid.columns]
+        z_sets, col_set = {}, []
+        for zs in self.col_zs:
+            col_set.append(z_sets.setdefault(zs, len(z_sets)))
         # compiled data repeats its prices, so each cost vector (and each
         # z-cost's least value per z-part set) is taken once per price
         z_costs, o_costs = {}, {}
         revealed = []
-        for k, obs in enumerate(ds.observations):
-            src = grid.point_index.get(
-                GridPoint(tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])))
-            if src is None:
-                raise RelationError(
-                    f"observation {k} bundle is not on the grid")
-            if len(obs.p) != len(obs.x):
-                raise DimensionMismatch(
-                    f"dimension {len(obs.p)} vs {len(obs.x)}")
+        for obs, src in zip(ds.observations, grid.sources(ds)):
             pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
             costs = z_costs.get(pz)
             if costs is None:
@@ -165,7 +152,7 @@ class _Arena:
             budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
             slack = [budget - least for least in z_least]
             reach = between[pt_o[src]]
-            for o, s in col_set.items():
+            for o, s in enumerate(col_set):
                 if o_cost[o] < slack[s] or (weak and o_cost[o] == slack[s]):
                     reach.add(o)
             revealed.append((src, z_cost, o_cost, budget))
@@ -188,30 +175,26 @@ class _Arena:
         for a, b in dominating:
             if col_comp[a] != col_comp[b]:
                 continue
-            for i in self.columns[a]:
+            for i in grid.columns[a]:
                 zi = pt_z[i]
-                for j in self.columns[b]:
+                for j in grid.columns[b]:
                     zj = pt_z[j]
                     if zi == zj:
                         self.always.append((i, j))
                     else:
                         self.dom_candidates.append((i, j, zi, zj))
-        self.fixed = [set() for _ in range(self.n_points)]
+        self.fixed = [set() for _ in grid.points]
         for s, d in self.always:
             self.fixed[s].add(d)
 
-        self.z_dom_pairs = []
-        for a, za in enumerate(grid.z_parts):
-            for b, zb in enumerate(grid.z_parts):
-                if a != b and all(map(ge, za, zb)):
-                    self.z_dom_pairs.append((a, b))
+        self.z_dom_pairs = _dominated_pairs(grid.z_parts)
 
     def adjacency_under(self, rank: list) -> list:
         """The combined relation under `rank` inside the components: it
         has a cycle exactly when the whole relation has one."""
         adj = [list(dsts) for dsts in self.fixed]
         pt_z = self.grid.pt_z
-        for pts in self.columns.values():
+        for pts in self.grid.columns:
             chain = sorted(pts, key=lambda j: rank[pt_z[j]])
             for s, d in zip(chain, chain[1:]):
                 adj[s].append(d)
@@ -234,6 +217,13 @@ class _Arena:
 
     def respects_dominance(self, rank: list) -> bool:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
+
+
+def _dominated_pairs(parts: list) -> list:
+    """Index pairs (a, b), a != b, with parts[a] >= parts[b] in every
+    coordinate: grid parts are distinct, so parts[a] dominates parts[b]."""
+    return [(a, b) for a, pa in enumerate(parts)
+            for b, pb in enumerate(parts) if a != b and all(map(ge, pa, pb))]
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
@@ -269,11 +259,11 @@ def _relevant_pairs(arena: _Arena, units) -> set:
     frozen edge (every cycle holds a 1-edge, and 1-edges are frozen), the
     pairs of inner dominance candidates, and the pairs of `units`.  No
     other pair's order changes whether the relation has a cycle."""
-    pt_z, comp = arena.grid.pt_z, arena.comp
+    comp = arena.comp
     cyclic = {comp[s] for s, dsts in enumerate(arena.fixed) if dsts}
     # the columns of one level, or of a full-product grid, share a z-set
-    z_sets = {tuple(sorted(pt_z[j] for j in pts))
-              for pts in arena.columns.values() if comp[pts[0]] in cyclic}
+    z_sets = {zs for zs, pts in zip(arena.col_zs, arena.grid.columns)
+              if comp[pts[0]] in cyclic}
     pairs = set()
     for zs in z_sets:
         pairs.update(itertools.combinations(zs, 2))
@@ -520,11 +510,7 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                            f"({a}, {b})")
 
     pt_z, pt_o = grid.pt_z, grid.pt_o
-    for k, obs in enumerate(ds.observations):
-        src = grid.point_index.get(
-            GridPoint(tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:])))
-        if src is None:
-            raise RelationError(f"observation {k} bundle is not on the grid")
+    for k, (obs, src) in enumerate(zip(ds.observations, grid.sources(ds))):
         if len(obs.p) != len(obs.x):
             raise DimensionMismatch(f"dimension {len(obs.p)} vs {len(obs.x)}")
         p = _scaled([obs.p])[0]
@@ -539,9 +525,8 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                 False, f"v-order puts an affordable point above the chosen "
                        f"bundle of observation {k}")
 
-    columns = [[] for _ in os_]
-    for j in sorted(range(npts), key=lambda j: urank[pt_z[j]]):
-        columns[pt_o[j]].append(j)
+    columns = [sorted(col, key=lambda j: urank[pt_z[j]])
+               for col in grid.columns]
     for col in columns:
         for s, d in zip(col, col[1:]):
             if vrank[s] > vrank[d]:
@@ -587,11 +572,10 @@ def truth_assignment_to_witness(f: cnf_mod.CnfFormula, ds: Dataset,
     if not cnf_mod.evaluate(f, assignment):
         raise WitnessConstructionError("assignment does not satisfy the formula")
     bp = base_points(f.var_count)
-    z_index = {part: idx for idx, part in enumerate(grid.z_parts)}
     pairs = []
     for v in range(1, f.var_count + 1):
-        first = z_index.get(bp.z[(v, 1)])
-        second = z_index.get(bp.z[(v, 2)])
+        first = grid.z_index.get(bp.z[(v, 1)])
+        second = grid.z_index.get(bp.z[(v, 2)])
         if first is None or second is None:
             continue  # variable unused by any clause
         pairs.append((second, first) if assignment[v] else (first, second))

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
-from seprat.numerics import dominates, dot
+from seprat.numerics import DimensionMismatch, dot
 from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
                               EvaluationPoint, Observation)
 from seprat.rpcore import Grid, revealed_relation
@@ -65,6 +65,14 @@ def random_foreign_dataset(rng: random.Random, max_z_parts=6):
         z_parts |= {tuple(e.x[:n_z]) for e in evs}
         if len(z_parts) <= max_z_parts:
             return ds
+
+
+def dominates(x, y) -> bool:
+    """True when x >= y in every coordinate and x != y (product order)."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"dimension {len(x)} vs {len(y)}")
+    return all(a >= b for a, b in zip(x, y)) \
+        and any(a != b for a, b in zip(x, y))
 
 
 def pairwise_verify_witness(ds: Dataset, grid: Grid,

@@ -25,7 +25,7 @@ from seprat.numerics import dot
 from seprat.reduction import (CHAIN_EDGES, OBSERVED_SLOTS, OFFSET_MODES,
                               base_points, build_clause_gadget,
                               compute_epsilon_M, reduce_formula)
-from seprat.rpcore import GridPoint, build_grid, revealed_relation
+from seprat.rpcore import build_grid, revealed_relation
 from seprat.septest import (decide, decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             WitnessConstructionError)
@@ -102,11 +102,9 @@ def test_criterion_2_chain_reproduction():
         grid = build_grid(ds)
         slots = {}
         for o in ds.observations:
-            slots[grid.point_index[GridPoint(tuple(o.x[:2]),
-                                             tuple(o.x[2:]))]] = o.k
+            slots[grid.locate(o.x)] = o.k
         for e in ds.evaluation_points:
-            slots[grid.point_index[GridPoint(tuple(e.x[:2]),
-                                             tuple(e.x[2:]))]] = e.t
+            slots[grid.locate(e.x)] = e.t
         edges = {(slots[e.src], slots[e.dst])
                  for e in revealed_relation(ds, grid, "strict").edges
                  if e.src in slots and e.dst in slots}
@@ -230,10 +228,8 @@ def test_criterion_6_cross_level_dominance():
         has_edge = {(e.src, e.dst) for e in graph.edges}
         offsets = sorted({o.x[-1] for o in ds.observations})
         level_of_offset = {off: l + 1 for l, off in enumerate(offsets)}
-        point_level = [level_of_offset[pt.o[-1]] for pt in grid.points]
-        for k, obs in enumerate(ds.observations):
-            src = grid.point_index[GridPoint(tuple(obs.x[:2]),
-                                             tuple(obs.x[2:]))]
+        point_level = [level_of_offset[o[-1]] for _, o in grid.points]
+        for obs, src in zip(ds.observations, grid.sources(ds)):
             for j in range(len(grid.points)):
                 if point_level[j] < obs.clause:
                     ok = ok and (src, j) in has_edge

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -307,6 +308,23 @@ class TestExportDot:
         assert code == 0
         text = dot.read_text()
         assert text.startswith("digraph") and "l1_t2" in text
+
+    def test_negative_labels_export_valid_ids(self, capsys, tmp_path):
+        # an unquoted DOT ID is a name or a numeral and cannot hold "-"
+        dot_id = (r'(?:[A-Za-z_][A-Za-z_0-9]*|-?(?:\.[0-9]+|[0-9]+'
+                  r'(?:\.[0-9]*)?)|"(?:[^"\\]|\\.)*")')
+        node = re.compile(rf"  {dot_id};")
+        edge = re.compile(rf'  {dot_id} -> {dot_id} \[label="k[0-9]+"\];')
+        path = tmp_path / "ds.json"
+        path.write_bytes(_leveled_dataset({"clause": -1, "k": 2}))
+        code, out, _ = run(capsys, "export-dot", str(path), "--tie-mode",
+                           "weak")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "digraph revealed {" and lines[-1] == "}"
+        assert '  "l-1_t2";' in lines and any("->" in s for s in lines)
+        for line in lines[1:-1]:
+            assert node.fullmatch(line) or edge.fullmatch(line), line
 
 
 def test_log_env_var_controls_verbosity(capsys, monkeypatch, cnf_file):

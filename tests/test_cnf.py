@@ -5,7 +5,14 @@ import pytest
 from seprat import cnf
 from seprat.cnf import (Clause, CnfFormula, DimacsError, EnumerationLimit,
                         FormulaError, brute_force_sat, evaluate, parse_dimacs,
-                        random_formula, to_dimacs)
+                        random_formula)
+
+
+def to_dimacs(f: CnfFormula) -> str:
+    lines = [f"p cnf {f.var_count} {len(f.clauses)}"]
+    for c in f.clauses:
+        lines.append(" ".join(str(l) for l in c.to_ints()) + " 0")
+    return "\n".join(lines) + "\n"
 
 
 class TestParse:

@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from seprat.numerics import (DimensionMismatch, RationalFormatError,
-                             dominates, dot, format_rational, parse_rational)
+from seprat.numerics import (DimensionMismatch, RationalFormatError, dot,
+                             format_rational, parse_rational)
+from tests.conftest import dominates
 
 F = Fraction
 
@@ -39,6 +40,7 @@ class TestDot:
 
 
 class TestDominates:
+    # the product-order helper of the pairwise witness oracle in conftest
     def test_strictly_greater(self):
         assert dominates((F(2), F(2)), (F(1), F(1))) is True
 

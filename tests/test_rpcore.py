@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,23 +8,24 @@ from seprat import cnf
 from seprat.numerics import dot
 from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
-from seprat.rpcore import (GridError, GridPoint, build_grid,
+from seprat.rpcore import (GridError, RelationError, build_grid,
                            find_cycle_in_adjacency, garp_check,
                            revealed_relation, strongly_connected_components,
                            to_dot, topological_order)
+from tests.conftest import SINGLE_CLAUSE, random_foreign_dataset
 
 F = Fraction
+
+TWO_LEVELS = "p cnf 4 2\n1 2 3 0\n1 2 4 0\n"
 
 
 def bundle_slots(ds, grid):
     """Grid index -> gadget slot for the compiled bundles of one level."""
     out = {}
     for o in ds.observations:
-        pt = GridPoint(tuple(o.x[:ds.n_z]), tuple(o.x[ds.n_z:]))
-        out[grid.point_index[pt]] = o.k
+        out[grid.locate(o.x)] = o.k
     for e in ds.evaluation_points:
-        pt = GridPoint(tuple(e.x[:ds.n_z]), tuple(e.x[ds.n_z:]))
-        out[grid.point_index[pt]] = e.t
+        out[grid.locate(e.x)] = e.t
     return out
 
 
@@ -43,7 +45,7 @@ class TestBuildGrid:
         assert len(grid.points) == 1
 
     def test_two_level_union(self):
-        f = cnf.parse_dimacs("p cnf 4 2\n1 2 3 0\n1 2 4 0\n")
+        f = cnf.parse_dimacs(TWO_LEVELS)
         grid = build_grid(reduce_formula(f))
         # 54 per level; offsets keep the o-parts of the levels disjoint
         assert len(grid.points) == 108
@@ -93,6 +95,60 @@ class TestBuildGrid:
             build_grid(reduce_formula(single_clause), "cartesian")
 
 
+def assert_grid_maps(ds, grid):
+    """`locate`, `sources`, `columns` and `z_index` against the points."""
+    for row in ds.observations + ds.evaluation_points:
+        j = grid.locate(row.x)
+        assert grid.points[j] == (row.x[:ds.n_z], row.x[ds.n_z:])
+        assert grid.z_parts[grid.pt_z[j]] == row.x[:ds.n_z]
+        assert grid.o_parts[grid.pt_o[j]] == row.x[ds.n_z:]
+    assert grid.sources(ds) == [grid.locate(o.x) for o in ds.observations]
+    assert len(grid.columns) == len(grid.o_parts)
+    for o, col in enumerate(grid.columns):
+        assert col == [j for j, oj in enumerate(grid.pt_o) if oj == o]
+    assert [grid.z_index[part] for part in grid.z_parts] == \
+        list(range(len(grid.z_parts)))
+    # an unseen bundle is off the grid, and `sources` names the first
+    # observation that holds one
+    off = (F(99),) * ds.goods
+    assert grid.locate(off) is None
+    rows = list(ds.observations)
+    rows[1] = dataclasses.replace(rows[1], x=off)
+    rows[-1] = dataclasses.replace(rows[-1], x=off)
+    with pytest.raises(RelationError,
+                       match="observation 1 bundle is not on the grid"):
+        grid.sources(dataclasses.replace(ds, observations=tuple(rows)))
+
+
+class TestGridMaps:
+    def test_compiled_per_level_grid(self):
+        # TestBuildGrid pins their 54 and 108 points
+        for text in (SINGLE_CLAUSE, TWO_LEVELS):
+            ds = reduce_formula(cnf.parse_dimacs(text))
+            grid = build_grid(ds)
+            assert grid.mode == "per-level-union"
+            assert_grid_maps(ds, grid)
+
+    def test_foreign_full_product_grid(self):
+        rng = random.Random(11)
+        for _ in range(30):
+            ds = random_foreign_dataset(rng)
+            grid = build_grid(ds)
+            assert grid.mode == "full-product"
+            assert_grid_maps(ds, grid)
+
+    def test_parts_of_two_levels_make_no_point(self):
+        # both parts are on the per-level grid, but their cell is not
+        ds = reduce_formula(cnf.parse_dimacs(TWO_LEVELS))
+        grid = build_grid(ds)
+        level_z = [{o.x[:ds.n_z] for o in ds.observations if o.clause == c}
+                   for c in (1, 2)]
+        z, o = next(iter(level_z[0] - level_z[1])), \
+            ds.observations[-1].x[ds.n_z:]
+        assert z in grid.z_index and o in grid.o_index
+        assert grid.locate(z + o) is None
+
+
 class TestRevealedRelation:
     def test_strict_restriction_is_the_three_chains(self, single_clause):
         ds = reduce_formula(single_clause)
@@ -115,8 +171,7 @@ class TestRevealedRelation:
                Observation(x=(F(0), F(2)), p=(F(1), F(1))))
         ds = Dataset(n_z=1, n_o=1, observations=obs, evaluation_points=())
         grid = build_grid(ds, "full-product")
-        a = grid.point_index[GridPoint((F(2),), (F(0),))]
-        b = grid.point_index[GridPoint((F(0),), (F(2),))]
+        a, b = grid.locate((F(2), F(0))), grid.locate((F(0), F(2)))
         strict = {(e.src, e.dst) for e in revealed_relation(ds, grid, "strict").edges}
         weak = {(e.src, e.dst) for e in revealed_relation(ds, grid, "weak").edges}
         # the two equally priced choices relate only once ties count
@@ -139,10 +194,9 @@ class TestRevealedRelation:
             assert graph.edges
             for e in graph.edges:
                 obs = ds.observations[e.obs]
-                assert grid.points[e.src] == GridPoint(
-                    tuple(obs.x[:ds.n_z]), tuple(obs.x[ds.n_z:]))
-                dst = grid.points[e.dst]
-                cost, budget = dot(obs.p, dst.z + dst.o), dot(obs.p, obs.x)
+                assert grid.points[e.src] == (obs.x[:ds.n_z], obs.x[ds.n_z:])
+                z, o = grid.points[e.dst]
+                cost, budget = dot(obs.p, z + o), dot(obs.p, obs.x)
                 assert cost < budget or (tie_mode == "weak"
                                          and cost == budget)
 
@@ -241,7 +295,6 @@ class TestGarp:
 
     def test_violation_cycle_has_a_strict_edge(self):
         rng = random.Random(5)
-        from tests.conftest import random_foreign_dataset
         for _ in range(40):
             ds = random_foreign_dataset(rng)
             result = garp_check(ds)
@@ -278,7 +331,8 @@ class TestDot:
         slots = bundle_slots(ds, grid)
         assert sorted(slots.values()) == list(range(1, 10))
         text = to_dot(ds, grid, revealed_relation(ds, grid, "strict"))
-        nodes = [line.strip().rstrip(";") for line in text.splitlines()
+        nodes = [line.strip().rstrip(";").strip('"')
+                 for line in text.splitlines()
                  if line.endswith(";") and "->" not in line]
         assert nodes == [f"l1_t{slots[j]}" if j in slots
                          else f"g{grid.pt_z[j]}x{grid.pt_o[j]}"

@@ -10,10 +10,10 @@ from types import SimpleNamespace
 import pytest
 
 from seprat import cli, cnf, septest
-from seprat.numerics import DimensionMismatch, dominates, dot
+from seprat.numerics import DimensionMismatch, dot
 from seprat.reduction import (Dataset, EvaluationPoint, Observation,
                               base_points, dataset_to_json, reduce_formula)
-from seprat.rpcore import (GridPoint, RelationError, build_grid,
+from seprat.rpcore import (RelationError, build_grid,
                            find_cycle_in_adjacency, revealed_relation,
                            topological_order)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
@@ -22,8 +22,9 @@ from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
-                            WEAK_TIE_COUNTEREXAMPLE, pairwise_verify_witness,
-                            random_foreign_dataset, random_fraction)
+                            WEAK_TIE_COUNTEREXAMPLE, dominates,
+                            pairwise_verify_witness, random_foreign_dataset,
+                            random_fraction)
 
 F = Fraction
 
@@ -334,16 +335,14 @@ class TestConstructionSemantics:
         grid = build_grid(ds)
         arena = _Arena(ds, grid, "strict")
         bp = base_points(3)
-        zi = {part: i for i, part in enumerate(grid.z_parts)}
+        zi = grid.z_index
         pinned = [(zi[bp.z[(v, 1)]], zi[bp.z[(v, 2)]]) for v in (1, 2, 3)]
         constraints = pinned + arena.z_dom_pairs
         slot_pt = {}
         for o in ds.observations:
-            slot_pt[o.k] = grid.point_index[
-                GridPoint(tuple(o.x[:2]), tuple(o.x[2:]))]
+            slot_pt[o.k] = grid.locate(o.x)
         for e in ds.evaluation_points:
-            slot_pt[e.t] = grid.point_index[
-                GridPoint(tuple(e.x[:2]), tuple(e.x[2:]))]
+            slot_pt[e.t] = grid.locate(e.x)
         rng = random.Random(29)
         sampled = 0
         while sampled < 12:
@@ -376,7 +375,7 @@ class TestConstructionSemantics:
         grid = build_grid(ds)
         arena = _Arena(ds, grid, "strict")
         bp = base_points(3)
-        zi = {part: i for i, part in enumerate(grid.z_parts)}
+        zi = grid.z_index
         for a, b in ((1, 2), (2, 3), (3, 1)):
             upper, lower = zi[bp.z[(a, 2)]], zi[bp.z[(b, 1)]]
             for pin in ((upper, lower), (lower, upper)):
@@ -414,10 +413,9 @@ class TestVerifyWitness:
     def test_inverted_dominance_pair_is_rejected(self, single_clause):
         ds, grid, witness = self.fixture(single_clause)
         bp = base_points(3)
-        zi = {part: i for i, part in enumerate(grid.z_parts)}
-        shifted = next(i for i, part in enumerate(grid.z_parts)
-                       if part == (bp.z[(2, 1)][0] + ds.epsilon,
-                                   bp.z[(2, 1)][1] + ds.epsilon))
+        zi = grid.z_index
+        shifted = zi[(bp.z[(2, 1)][0] + ds.epsilon,
+                      bp.z[(2, 1)][1] + ds.epsilon)]
         base = zi[bp.z[(2, 1)]]
         u = list(witness.u_order)
         a, b = u.index(shifted), u.index(base)
@@ -447,7 +445,7 @@ class TestVerifyWitness:
         grid = build_grid(ds)
 
         def point(z, o):
-            return grid.point_index[GridPoint(z, (F(o),))]
+            return grid.locate(z + (F(o),))
         return ds, grid, point
 
     def assert_family(self, ds, grid, witness, tie_mode, reason):
@@ -460,7 +458,7 @@ class TestVerifyWitness:
         a, b = (F(1), F(0)), (F(0), F(1))
         ds, grid, pt = self.two_column_dataset(
             (F(0), F(1), F(0)), (F(1), F(3), F(1)), (F(1), F(0), F(1)))
-        u = tuple(grid.z_parts.index(z) for z in (b, a))
+        u = tuple(grid.z_index[z] for z in (b, a))
         good = (pt(b, 1), pt(b, 0), pt(a, 1), pt(a, 0))
         assert verify_witness(ds, grid, SeparabilityWitness(u, good),
                               "strict").valid
@@ -476,7 +474,7 @@ class TestVerifyWitness:
         a, b = (F(1), F(0)), (F(0), F(2))
         ds, grid, pt = self.two_column_dataset(
             (F(1), F(0), F(0)), (F(1), F(1), F(1)), (F(0), F(2), F(1)))
-        u = tuple(grid.z_parts.index(z) for z in (a, b))
+        u = tuple(grid.z_index[z] for z in (a, b))
         good = (pt(a, 1), pt(b, 1), pt(a, 0), pt(b, 0))
         for tie in ("strict", "weak"):
             assert verify_witness(ds, grid, SeparabilityWitness(u, good),
@@ -505,7 +503,7 @@ class TestVerifyWitness:
                                                p=(F(1), F(1))),),
                      evaluation_points=(EvaluationPoint(x=(F(1), F(0))),))
         grid = build_grid(ds)
-        upper, lower = (grid.z_parts.index((F(v),)) for v in (2, 1))
+        upper, lower = (grid.z_index[(F(v),)] for v in (2, 1))
         witness = SeparabilityWitness((lower, upper), (0, 1))
         self.assert_family(ds, grid, witness, "strict",
                            f"dominated z-part pair ({upper}, {lower})")
@@ -650,7 +648,7 @@ class TestTruthAssignmentToWitness:
         w = truth_assignment_to_witness(single_clause, ds, grid, a, "strict")
         assert verify_witness(ds, grid, w, "strict").valid
         bp = base_points(3)
-        zi = {part: i for i, part in enumerate(grid.z_parts)}
+        zi = grid.z_index
         ranks = {z: pos for pos, z in enumerate(w.u_order)}
         for v in (1, 2, 3):
             assert ranks[zi[bp.z[(v, 2)]]] < ranks[zi[bp.z[(v, 1)]]]
@@ -663,7 +661,7 @@ class TestTruthAssignmentToWitness:
         w = truth_assignment_to_witness(f, ds, grid, a, "strict")
         assert verify_witness(ds, grid, w, "strict").valid
         bp = base_points(3)
-        zi = {part: i for i, part in enumerate(grid.z_parts)}
+        zi = grid.z_index
         ranks = {z: pos for pos, z in enumerate(w.u_order)}
         # x1 false pins the first bundle of variable 1 above the second
         assert ranks[zi[bp.z[(1, 1)]]] < ranks[zi[bp.z[(1, 2)]]]
@@ -960,11 +958,11 @@ def _hand_built_arena(nz, columns, frozen):
     points = [(o, z) for o, zs in enumerate(columns) for z in zs]
     index = {pt: j for j, pt in enumerate(points)}
     arena = object.__new__(_Arena)
-    arena.grid = SimpleNamespace(pt_o=[o for o, _ in points],
-                                 pt_z=[z for _, z in points])
-    arena.n_points, arena.nz = len(points), nz
-    arena.columns = {o: [index[(o, z)] for z in zs]
-                     for o, zs in enumerate(columns)}
+    arena.grid = SimpleNamespace(
+        pt_o=[o for o, _ in points], pt_z=[z for _, z in points],
+        columns=[[index[(o, z)] for z in zs] for o, zs in enumerate(columns)])
+    arena.nz = nz
+    arena.col_zs = [tuple(sorted(zs)) for zs in columns]
     arena.comp = [0] * len(points)
     arena.fixed = [set() for _ in points]
     for src, dst in frozen:
@@ -1018,7 +1016,7 @@ class TestSparseRefinement:
         pins = []
         if falsify:  # the first base bundle of each variable above its second
             bp = base_points(f.var_count)
-            zi = {part: i for i, part in enumerate(grid.z_parts)}
+            zi = grid.z_index
             pins = [(zi[bp.z[(v, 1)]], zi[bp.z[(v, 2)]])
                     for v in range(1, f.var_count + 1)]
         septest._cegar_search(arena, pins)
