@@ -118,7 +118,7 @@ class ClauseGadget:
     prices: dict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     x: tuple
     p: tuple
@@ -126,14 +126,14 @@ class Observation:
     k: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EvaluationPoint:
     x: tuple
     clause: int | None = None
     t: int | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Dataset:
     n_z: int
     n_o: int

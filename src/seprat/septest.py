@@ -26,6 +26,9 @@ point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
 order.  Costs are taken once per distinct price: compiled data repeats
 its prices across levels, so most observations need no inner product.
+Each cost vector is then scaled to integers over its own common
+denominator, and the arena's comparisons (costs against budgets, parts
+against parts) all run on integers.
 
 The SAT encoding has order variables only for the z-pairs that can gate
 a cycle (`_relevant_pairs`); `_cegar_search` says how a model's cycle
@@ -96,9 +99,13 @@ class _Arena:
     o-part its own dominates.  Costs come from one z-cost vector per
     distinct z-price and one o-cost vector per distinct o-price, so an
     observation whose price repeats an earlier one's takes no new inner
-    product.  Every edge of the combined relation, under any u-order,
-    runs along that graph (2-edges stay inside one column), so its
-    strongly connected components hold every cycle.  `comp` labels
+    product.  Each vector is kept as integers over its least common
+    denominator, d_z or d_o; a cost compared with a budget is a z-cost
+    times d_o plus an o-cost times d_z, so no comparison touches a
+    `Fraction`.  Dominance between parts is tested on integers too
+    (`_dominated_pairs`).  Every edge of the combined relation, under any
+    u-order, runs along that graph (2-edges stay inside one column), so
+    its strongly connected components hold every cycle.  `comp` labels
     each point by its column's component; `strongly_connected_components`
     numbers them in reverse topological order of the condensation.
 
@@ -135,27 +142,32 @@ class _Arena:
         for zs in self.col_zs:
             col_set.append(z_sets.setdefault(zs, len(z_sets)))
         # compiled data repeats its prices, so each cost vector (and each
-        # z-cost's least value per z-part set) is taken once per price
+        # z-cost's least value per z-part set) is taken once per price,
+        # as integers over its own denominator: d_z for a z-cost, d_o for
+        # an o-cost, so every cost below is on the d_z * d_o scale
         z_costs, o_costs = {}, {}
         revealed = []
         for obs, src in zip(ds.observations, grid.sources(ds)):
             pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
-            costs = z_costs.get(pz)
-            if costs is None:
-                z_cost = [dot(pz, part) for part in grid.z_parts]
-                costs = z_costs[pz] = z_cost, [min(z_cost[z] for z in zs)
-                                               for zs in z_sets]
-            z_cost, z_least = costs
-            o_cost = o_costs.get(po)
-            if o_cost is None:
-                o_cost = o_costs[po] = [dot(po, part) for part in grid.o_parts]
-            budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
-            slack = [budget - least for least in z_least]
+            zc = z_costs.get(pz)
+            if zc is None:
+                z_cost, d_z = _lcd_scaled([dot(pz, part)
+                                           for part in grid.z_parts])
+                zc = z_costs[pz] = z_cost, d_z, [min(z_cost[z] for z in zs)
+                                                 for zs in z_sets]
+            oc = o_costs.get(po)
+            if oc is None:
+                oc = o_costs[po] = _lcd_scaled([dot(po, part)
+                                                for part in grid.o_parts])
+            (z_cost, d_z, z_least), (o_cost, d_o) = zc, oc
+            budget = z_cost[pt_z[src]] * d_o + o_cost[pt_o[src]] * d_z
+            slack = [budget - least * d_o for least in z_least]
             reach = between[pt_o[src]]
             for o, s in enumerate(col_set):
-                if o_cost[o] < slack[s] or (weak and o_cost[o] == slack[s]):
+                cost = o_cost[o] * d_z
+                if cost < slack[s] or (weak and cost == slack[s]):
                     reach.add(o)
-            revealed.append((src, z_cost, o_cost, budget))
+            revealed.append((src, z_cost, d_z, o_cost, d_o, budget))
 
         col_comp = strongly_connected_components(
             [sorted(dsts) for dsts in between])
@@ -164,11 +176,11 @@ class _Arena:
         for j, c in enumerate(self.comp):
             members.setdefault(c, []).append(j)
         self.always = []
-        for src, z_cost, o_cost, budget in revealed:
+        for src, z_cost, d_z, o_cost, d_o, budget in revealed:
             for j in members[self.comp[src]]:
                 if j == src:
                     continue
-                cost = z_cost[pt_z[j]] + o_cost[pt_o[j]]
+                cost = z_cost[pt_z[j]] * d_o + o_cost[pt_o[j]] * d_z
                 if cost < budget or (weak and cost == budget):
                     self.always.append((src, j))
         self.dom_candidates = []  # (src_pt, dst_pt, z_src, z_dst)
@@ -219,11 +231,22 @@ class _Arena:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
 
 
+def _lcd_scaled(values: list) -> tuple:
+    """`values` as integers over their least common denominator, and
+    that denominator."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _dominated_pairs(parts: list) -> list:
     """Index pairs (a, b), a != b, with parts[a] >= parts[b] in every
-    coordinate: grid parts are distinct, so parts[a] dominates parts[b]."""
-    return [(a, b) for a, pa in enumerate(parts)
-            for b, pb in enumerate(parts) if a != b and all(map(ge, pa, pb))]
+    coordinate: grid parts are distinct, so parts[a] dominates parts[b].
+    Compared on integers: all coordinates over one common denominator."""
+    flat, _ = _lcd_scaled([c for part in parts for c in part])
+    it = iter(flat)
+    ints = [tuple(itertools.islice(it, len(part))) for part in parts]
+    return [(a, b) for a, pa in enumerate(ints)
+            for b, pb in enumerate(ints) if a != b and all(map(ge, pa, pb))]
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,

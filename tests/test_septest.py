@@ -602,13 +602,15 @@ class TestIntegerChecker:
 
     def test_needs_no_relation_dominance_or_dot(self, monkeypatch,
                                                 single_clause):
+        # the checker scales with its own `_scaled`, not the arena's helper
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
         witness = decide_cegar(ds, grid, "strict").witness
 
         def forbidden(*args, **kwargs):
             raise AssertionError("the checker reached the deciders' code")
-        for original in (revealed_relation, dominates, dot):
+        for original in (revealed_relation, septest._dominated_pairs,
+                         septest._lcd_scaled, dot):
             for name, module in list(sys.modules.items()):
                 if name == "seprat" or name.startswith("seprat."):
                     for attr, value in list(vars(module).items()):
@@ -817,6 +819,24 @@ def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
         _Arena(ds, grid, "strict")
         assert len(calls) == len(z_prices) * len(grid.z_parts) \
             + len(o_prices) * len(grid.o_parts), (mode, eta)
+
+
+def test_arena_compares_no_fractions(monkeypatch):
+    # each cost vector is scaled to integers once per price, so building
+    # the arena makes no ordering comparison between Fractions
+    rng = random.Random(23)
+    datasets = [reduce_formula(cnf.random_formula(random.Random(6), 8, 6),
+                               "linear", F(1, 10**6))]
+    datasets += [random_foreign_dataset(rng) for _ in range(5)]
+    grids = [build_grid(ds) for ds in datasets]
+
+    def refused(*args):
+        raise AssertionError("the arena compared two Fractions")
+    for name in ("__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, refused)
+    for ds, grid in zip(datasets, grids):
+        for tie in ("strict", "weak"):
+            _Arena(ds, grid, tie)
 
 
 def test_envelope_components_hold_every_cycle():
