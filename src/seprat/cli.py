@@ -5,7 +5,8 @@ The grid follows from the data, and each verdict names it in `stats.grid`;
 `test` and `verify` decide with `septest.decide`, which probes, then refines.
 Exit codes: 0 success or affirmative, 1 when verify reports DISAGREE,
 2 input error, 3 negative verdict when --exit-code is given, 4 conflict
-budget exhausted or a size guard exceeded (compile, or `sat`'s variables).
+budget exhausted or a size guard exceeded (compile, or more than
+`MAX_SAT_VARIABLES` = 131,072 variables for `sat`).
 Set SEPRAT_LOG=debug|info|warning for logging verbosity.
 """
 
@@ -28,8 +29,9 @@ EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
-# the solver allocates per literal and scans every variable per decision
-MAX_SAT_VARIABLES = 4096
+# the solver and the model's JSON take about 0.4 KB per declared variable
+# (a 71 MB peak at the guard), so a wider header stops before any instance
+MAX_SAT_VARIABLES = 1 << 17
 
 
 def _setup_logging() -> None:

@@ -1,16 +1,23 @@
 """Small complete SAT solver: watched-literal CDCL with first-UIP learning.
 
 A `SatInstance` is frozen: its clauses are int-literal tuples, checked once
-on construction (tautologies noted), and the solver trusts them.  The
-solver keeps one value array, `vals[lit + n]`: 1 when `lit` is true, -1
-when false, 0 when free; assignments and backtracks write both polarities.
+on construction (tautologies noted), and the solver trusts them.  Inside
+the solver a literal is a code: v is `2v` and -v is `2v + 1`, so `code ^ 1`
+negates it and `code >> 1` is its variable.  One value array, `vals[code]`,
+holds 1 when the literal is true, -1 when false, 0 when free; assignments
+and backtracks write both polarities.  Watch lists and reasons hold the
+clause lists themselves.
 
 The search is deterministic: branching picks the free variable with the
 highest activity, breaking ties toward the lowest index, and always tries
-False first.  There are no restarts and no randomness, so the same instance
-always gives the same verdict, model and conflict count.  Every model is
-checked against every clause before it is returned, and a conflict budget
-turns a runaway search into `BudgetExhausted` instead of a wrong verdict.
+False first.  Activities change only in conflict analysis, which always
+backtracks, and variables are freed only by backtracking; so the variables
+are sorted by activity once per backtrack, and each decision advances a
+cursor to the first free one.  There are no restarts and no randomness, so
+the same instance always gives the same verdict, model and conflict count.
+Every model is checked against every clause before it is returned, and a
+conflict budget turns a runaway search into `BudgetExhausted` instead of a
+wrong verdict.
 """
 
 from __future__ import annotations
@@ -91,114 +98,131 @@ class Solver:
         n = self.n = instance.var_count
         self.conflict_limit = conflict_limit
         self.conflicts = 0
-        self.clauses: list[list[int]] = []
-        self.watches: list[list[int]] = [[] for _ in range(2 * n + 1)]
-        # vals[lit + n] is 1 if lit is true, -1 if false, 0 if unassigned
-        self.vals: list[int] = [0] * (2 * n + 1)
-        self.reason: list[int | None] = [None] * (n + 1)
+        self.clauses: list[list[int]] = []  # literal codes, see module doc
+        self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
+        # vals[code] is 1 if the literal is true, -1 if false, 0 if free
+        self.vals: list[int] = [0] * (2 * n + 2)
+        self.reason: list[list[int] | None] = [None] * (n + 1)
         self.level: list[int] = [0] * (n + 1)
         self.trail: list[int] = []
         self.trail_lim: list[int] = []
         self.qhead = 0
         self.activity: list[float] = [0.0] * (n + 1)
         self.act_inc = 1.0
+        # variables by activity, highest first, lowest index among equals;
+        # every variable before `cursor` is assigned; None after a backtrack
+        self.order: list[int] | None = None
+        self.cursor = 0
         self.units: list[int] = []
         self.unsat = False
         for ci, cl in enumerate(instance.clauses):
-            self._attach(list(cl), ci in instance.tautologies)
+            self._attach(cl, ci in instance.tautologies)
 
     # -- clause database ------------------------------------------------
 
     def add_clause(self, clause) -> None:
         cl, tautology = _checked(clause, self.n)
-        self._attach(list(cl), tautology)
+        self._attach(cl, tautology)
 
-    def _attach(self, cl: list[int], tautology: bool = False) -> int:
-        """Store a checked clause (a list without repeated literals, which
-        propagation reorders), then watch it unless it is a tautology,
-        queue it as a unit, or mark the solver unsat; returns its index."""
+    def _attach(self, lits, tautology: bool = False) -> None:
+        """Encode a checked clause (int literals, none repeated) and store it."""
+        self._store([2 * q if q > 0 else 1 - 2 * q for q in lits], tautology)
+
+    def _store(self, cl: list[int], tautology: bool = False) -> None:
+        """Keep a clause of codes, which propagation reorders, then watch it
+        unless it is a tautology, queue it as a unit, or mark the solver
+        unsat."""
         self.clauses.append(cl)
-        ci = len(self.clauses) - 1
         if not cl:
             self.unsat = True
         elif len(cl) == 1:
             self.units.append(cl[0])
         elif not tautology:
-            self.watches[cl[0] + self.n].append(ci)
-            self.watches[cl[1] + self.n].append(ci)
-        return ci
+            self.watches[cl[0]].append(cl)
+            self.watches[cl[1]].append(cl)
 
     # -- trail ------------------------------------------------------------
 
-    def _enqueue(self, lit: int, reason: int | None) -> None:
-        n = self.n
-        self.vals[n + lit] = 1
-        self.vals[n - lit] = -1
-        var = abs(lit)
+    def _enqueue(self, code: int, reason: list[int] | None) -> None:
+        self.vals[code] = 1
+        self.vals[code ^ 1] = -1
+        var = code >> 1
         self.reason[var] = reason
         self.level[var] = len(self.trail_lim)
-        self.trail.append(lit)
+        self.trail.append(code)
 
     def _backtrack(self, target_level: int) -> None:
         trail, trail_lim = self.trail, self.trail_lim
         if len(trail_lim) > target_level:
             bound = trail_lim[target_level]
-            vals, n = self.vals, self.n
-            for lit in trail[bound:]:
-                vals[n + lit] = vals[n - lit] = 0
+            vals = self.vals
+            for code in trail[bound:]:
+                vals[code] = vals[code ^ 1] = 0
             del trail[bound:], trail_lim[target_level:]
+            self.order = None  # freed variables; activities may have moved
         self.qhead = min(self.qhead, len(trail))
 
     # -- propagation -------------------------------------------------------
 
-    def _propagate(self) -> int | None:
-        """Propagate watched literals; returns a conflicting clause index."""
-        n, vals, trail = self.n, self.vals, self.trail
-        clauses, watches = self.clauses, self.watches
+    def _propagate(self) -> list[int] | None:
+        """Propagate watched literals; returns a conflicting clause."""
+        vals, trail, watches = self.vals, self.trail, self.watches
         reason, level, cur_level = self.reason, self.level, len(self.trail_lim)
         qhead = self.qhead
         while qhead < len(trail):
-            neg = -trail[qhead]
+            neg = trail[qhead] ^ 1
             qhead += 1
-            ws = watches[n + neg]
+            ws = watches[neg]
             end = len(ws)  # moved watches go to free or true literals, not here
             i = j = 0
             while i < end:
-                ci = ws[i]
+                cl = ws[i]
                 i += 1
-                cl = clauses[ci]
-                if cl[0] == neg:
-                    cl[0], cl[1] = cl[1], cl[0]
                 first = cl[0]
-                if vals[n + first] > 0:
-                    ws[j] = ci
+                if first == neg:
+                    first = cl[0] = cl[1]
+                    cl[1] = neg
+                if vals[first] > 0:
+                    ws[j] = cl
                     j += 1
                     continue
-                for k in range(2, len(cl)):
-                    if vals[n + cl[k]] >= 0:
-                        cl[1], cl[k] = cl[k], cl[1]
-                        watches[n + cl[1]].append(ci)
-                        break
-                else:
-                    ws[j] = ci
-                    j += 1
-                    if vals[n + first] < 0:
-                        del ws[j:i]
-                        self.qhead = qhead
-                        return ci
-                    vals[n + first] = 1
-                    vals[n - first] = -1
-                    var = first if first > 0 else -first
-                    reason[var] = ci
-                    level[var] = cur_level
-                    trail.append(first)
+                # cl[1] is neg: move its watch to a literal not false,
+                # trying cl[2] first (every formula clause has three)
+                size = len(cl)
+                if size > 2:
+                    other = cl[2]
+                    if vals[other] >= 0:
+                        cl[1] = other
+                        cl[2] = neg
+                        watches[other].append(cl)
+                        continue
+                    k = 3
+                    while k < size and vals[cl[k]] < 0:
+                        k += 1
+                    if k < size:
+                        other = cl[1] = cl[k]
+                        cl[k] = neg
+                        watches[other].append(cl)
+                        continue
+                ws[j] = cl
+                j += 1
+                if vals[first] < 0:
+                    del ws[j:i]
+                    self.qhead = qhead
+                    return cl
+                vals[first] = 1
+                vals[first ^ 1] = -1
+                var = first >> 1
+                reason[var] = cl
+                level[var] = cur_level
+                trail.append(first)
             del ws[j:end]
         self.qhead = qhead
         return None
 
     # -- conflict analysis ---------------------------------------------
 
-    def _analyze(self, confl: int) -> tuple[list[int], int]:
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
         """First-UIP learned clause and the backjump level."""
         n, trail, level, activity = self.n, self.trail, self.level, self.activity
         inc = self.act_inc
@@ -207,10 +231,10 @@ class Solver:
         learned: list[int] = []
         counter = 0
         idx = len(trail) - 1
-        reason_lits = self.clauses[confl]
+        reason_lits = confl
         while True:
             for q in reason_lits:
-                v = q if q > 0 else -q
+                v = q >> 1
                 if not seen[v] and level[v] > 0:
                     seen[v] = True
                     activity[v] += inc
@@ -224,23 +248,23 @@ class Solver:
                     else:
                         learned.append(q)
             uip = trail[idx]
-            while not seen[uip if uip > 0 else -uip]:
+            while not seen[uip >> 1]:
                 idx -= 1
                 uip = trail[idx]
-            v = uip if uip > 0 else -uip
+            v = uip >> 1
             seen[v] = False
             idx -= 1
             counter -= 1
             if counter == 0:
                 break
             # clause[0] is the literal the reason clause implied
-            reason_lits = self.clauses[self.reason[v]][1:]
-        learned = [-uip] + learned
+            reason_lits = self.reason[v][1:]
+        learned = [uip ^ 1] + learned
         if len(learned) == 1:
             back = 0
         else:
             # watch position 1 must sit at the backjump level
-            levels = [(level[abs(q)], k) for k, q in enumerate(learned[1:], 1)]
+            levels = [(level[q >> 1], k) for k, q in enumerate(learned[1:], 1)]
             back, kmax = max(levels)
             learned[1], learned[kmax] = learned[kmax], learned[1]
         return learned, back
@@ -249,23 +273,27 @@ class Solver:
 
     def _pick_branch(self) -> int | None:
         """The free variable of highest activity, lowest index first."""
-        n, vals, activity = self.n, self.vals, self.activity
-        best = None
-        best_act = -1.0
-        for v in range(1, n + 1):
-            if vals[n + v] == 0 and activity[v] > best_act:
-                best = v
-                best_act = activity[v]
-        return best
+        order = self.order
+        if order is None:
+            # sorted() is stable under reverse=True, so ties keep index order
+            order = self.order = sorted(range(1, self.n + 1),
+                                        key=self.activity.__getitem__,
+                                        reverse=True)
+            self.cursor = 0
+        vals, i, end = self.vals, self.cursor, len(order)
+        while i < end and vals[2 * order[i]]:
+            i += 1
+        self.cursor = i
+        return order[i] if i < end else None
 
     def solve(self) -> SatResult:
         if self.unsat:
             return SatResult("unsat")
         self._backtrack(0)
         self.qhead = 0
-        n, vals = self.n, self.vals
+        vals = self.vals
         for u in self.units:
-            val = vals[n + u]
+            val = vals[u]
             if val < 0:
                 self.unsat = True
                 return SatResult("unsat")
@@ -283,23 +311,24 @@ class Solver:
                     return SatResult("unsat")
                 learned, back = self._analyze(confl)
                 self._backtrack(back)
-                ci = self._attach(learned)
-                self._enqueue(learned[0], ci if len(learned) > 1 else None)
+                self._store(learned)
+                self._enqueue(learned[0], learned if len(learned) > 1 else None)
                 self.act_inc /= _ACT_DECAY
             else:
                 var = self._pick_branch()
                 if var is None:
-                    model = [x > 0 for x in vals[n + 1:]]
+                    model = [x > 0 for x in vals[2::2]]
                     self._verify(model)
                     return SatResult("sat", model)
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(-var, None)  # try False first
+                self._enqueue(2 * var + 1, None)  # try False first
 
     def _verify(self, model: list[bool]) -> None:
-        true_lits = {v if b else -v for v, b in enumerate(model, 1)}
+        true_codes = {2 * v + (not b) for v, b in enumerate(model, 1)}
         for cl in self.clauses:
-            if cl and true_lits.isdisjoint(cl):
-                raise RuntimeError(f"internal error: model violates clause {cl}")
+            if cl and true_codes.isdisjoint(cl):
+                lits = [-(c >> 1) if c & 1 else c >> 1 for c in cl]
+                raise RuntimeError(f"internal error: model violates clause {lits}")
         log.debug("model verified against %d clauses", len(self.clauses))
 
 

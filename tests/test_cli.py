@@ -154,11 +154,11 @@ class TestSat:
         assert code == 4 and out == ""
         assert err == "error: 6 variables exceeds the sat guard of 5\n"
 
-    @pytest.mark.parametrize("count", [100000, 10 ** 9])
+    @pytest.mark.parametrize("count", [131073, 10 ** 9])
     def test_hostile_variable_count_stops_before_the_solver(
             self, capsys, monkeypatch, tmp_path, count):
-        # the solver allocates per literal and scans every variable per
-        # decision, so a wide header must stop before either is built
+        # the solver allocates per literal, so a header past the guard
+        # must stop before any instance is built
         def forbidden(*args, **kwargs):
             raise AssertionError("a SAT instance was built")
         monkeypatch.setattr(satcore, "SatInstance", forbidden)
@@ -169,6 +169,19 @@ class TestSat:
         code, out, err = run(capsys, "sat", str(path))
         assert time.perf_counter() - start < 2
         assert code == 4 and out == "" and "sat guard" in err
+
+    def test_wide_header_below_the_guard_is_solved(self, capsys, tmp_path):
+        # decisions cost no scan over the variables, so 100,000 free
+        # variables take one sort and one pass
+        path = tmp_path / "wide.cnf"
+        path.write_text("p cnf 100000 1\n1 2 3 0\n")
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "sat", str(path))
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["status"] == "sat" and len(doc["model"]) == 100000
+        assert doc["model"]["1"] or doc["model"]["2"] or doc["model"]["3"]
 
 
 class TestVerify:

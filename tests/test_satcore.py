@@ -14,6 +14,18 @@ def check_model(clauses, model):
         assert any(model[abs(l) - 1] == (l > 0) for l in cl), cl
 
 
+def pigeonhole(pigeons, holes):
+    """Each pigeon in some hole, no two in one: unsat if pigeons > holes."""
+    def var(p, h):
+        return p * holes + h + 1
+    clauses = [[var(p, h) for h in range(holes)] for p in range(pigeons)]
+    for h in range(holes):
+        for p1 in range(pigeons):
+            for p2 in range(p1 + 1, pigeons):
+                clauses.append([-var(p1, h), -var(p2, h)])
+    return SatInstance(pigeons * holes, clauses)
+
+
 class TestSolve:
     def test_contradictory_units(self):
         assert solve(SatInstance(1, [[1], [-1]])).status == "unsat"
@@ -39,8 +51,9 @@ class TestSolve:
         assert inst.tautologies == {0, 3}
         solver = Solver(inst)
         solver.add_clause([3, -3])
-        watched = {ci for lst in solver.watches for ci in lst}
-        assert watched == {1}
+        watched = [cl for lst in solver.watches for cl in lst]
+        assert len(watched) == 2
+        assert all(cl is solver.clauses[1] for cl in watched)
         assert solver.solve().status == "sat"
 
     def test_duplicate_literals_in_clause(self):
@@ -54,14 +67,7 @@ class TestSolve:
 
     def test_pigeonhole_unsat(self):
         # 4 pigeons into 3 holes; exercises clause learning
-        def var(p, h):
-            return p * 3 + h + 1
-        clauses = [[var(p, h) for h in range(3)] for p in range(4)]
-        for h in range(3):
-            for p1 in range(4):
-                for p2 in range(p1 + 1, 4):
-                    clauses.append([-var(p1, h), -var(p2, h)])
-        assert solve(SatInstance(12, clauses)).status == "unsat"
+        assert solve(pigeonhole(4, 3)).status == "unsat"
 
     def test_agreement_with_brute_force(self):
         rng = random.Random(13)
@@ -157,9 +163,10 @@ class TestIncremental:
     @pytest.mark.parametrize("clause", HOSTILE_CLAUSES, ids=repr)
     def test_hostile_clause_is_refused(self, clause):
         solver = Solver(SatInstance(3, [[1, 2]]))
+        before = [list(cl) for cl in solver.clauses]
         with pytest.raises(InstanceError):
             solver.add_clause(clause)
-        assert solver.clauses == [[1, 2]]
+        assert solver.clauses == before
 
     def test_solver_object_retains_state_between_calls(self):
         solver = Solver(SatInstance(3, [[1, 2, 3]]))
@@ -174,15 +181,8 @@ class TestIncremental:
 
 
 def test_budget_exhaustion_is_an_error_not_a_verdict():
-    def var(p, h):
-        return p * 4 + h + 1
-    clauses = [[var(p, h) for h in range(4)] for p in range(5)]
-    for h in range(4):
-        for p1 in range(5):
-            for p2 in range(p1 + 1, 5):
-                clauses.append([-var(p1, h), -var(p2, h)])
     with pytest.raises(BudgetExhausted):
-        solve(SatInstance(20, clauses), conflict_limit=3)
+        solve(pigeonhole(5, 4), conflict_limit=3)
 
 
 
@@ -209,12 +209,16 @@ PINNED_SEARCH = [
 ]
 
 
-@pytest.mark.parametrize("seed,status,conflicts,learned,digest", PINNED_SEARCH)
-def test_search_is_pinned(seed, status, conflicts, learned, digest):
+def pinned_formula(seed):
     rng = random.Random(seed)
     var_count = rng.randint(30, 40)
     f = cnf.random_formula(rng, var_count, round(4.26 * var_count))
-    inst = SatInstance(var_count, [c.to_ints() for c in f.clauses])
+    return f, SatInstance(var_count, [c.to_ints() for c in f.clauses])
+
+
+@pytest.mark.parametrize("seed,status,conflicts,learned,digest", PINNED_SEARCH)
+def test_search_is_pinned(seed, status, conflicts, learned, digest):
+    f, inst = pinned_formula(seed)
     solver = Solver(inst)
     res = solver.solve()
     assert (res.status, solver.conflicts) == (status, conflicts)
@@ -222,3 +226,65 @@ def test_search_is_pinned(seed, status, conflicts, learned, digest):
     if status == "sat":
         assert hashlib.sha256(bytes(res.model)).hexdigest()[:16] == digest
         assert cnf.evaluate(f, dict(enumerate(res.model, 1)))
+
+
+class ScanCheckedSolver(Solver):
+    """Checks each branching pick against a full scan of the variables: the
+    free one of highest activity, lowest index first.  Counts the picks
+    made among tied activities, and the picks at which a variable once
+    bumped reads 0.0 again (flushed by rescaling)."""
+
+    def __init__(self, instance):
+        super().__init__(instance)
+        self.picks = self.tied_picks = self.flushed_picks = 0
+        self.bumped = set()
+
+    def _pick_branch(self):
+        pick = super()._pick_branch()
+        activity = self.activity
+        free = [v for v in range(1, self.n + 1) if self.vals[2 * v] == 0]
+        best, best_act = None, -1.0
+        for v in free:
+            if activity[v] > best_act:
+                best, best_act = v, activity[v]
+        assert pick == best
+        self.picks += 1
+        self.tied_picks += sum(activity[v] == best_act for v in free) > 1
+        self.flushed_picks += any(activity[v] == 0.0 for v in self.bumped)
+        self.bumped.update(v for v, a in enumerate(activity) if a > 0.0)
+        return pick
+
+
+class TestBranching:
+    def test_pinned_searches_pick_as_the_scan_does(self):
+        for seed, status, conflicts, _, _ in PINNED_SEARCH:
+            solver = ScanCheckedSolver(pinned_formula(seed)[1])
+            assert solver.solve().status == status
+            assert solver.conflicts == conflicts
+            assert solver.picks > 0
+
+    def test_pigeonhole_picks_as_the_scan_does(self):
+        solver = ScanCheckedSolver(pigeonhole(4, 3))
+        assert solver.solve().status == "unsat"
+        assert solver.tied_picks > 0
+
+    def test_incremental_solves_pick_as_the_scan_does(self):
+        f = cnf.random_formula(random.Random(5), 30, 90)
+        solver = ScanCheckedSolver(
+            SatInstance(30, [c.to_ints() for c in f.clauses]))
+        solves = 0
+        while (res := solver.solve()).status == "sat":
+            solves += 1
+            # block this model's values of variables 1..5
+            solver.add_clause([-v if res.model[v - 1] else v
+                               for v in range(1, 6)])
+        assert solves >= 3
+
+    def test_rescaled_activities_pick_as_the_scan_does(self, monkeypatch):
+        # a steep decay makes rescales frequent, and repeated rescales
+        # flush early activities to 0.0, tying them with unbumped ones
+        monkeypatch.setattr(satcore, "_ACT_DECAY", 1e-5)
+        monkeypatch.setattr(satcore, "_ACT_RESCALE", 1e10)
+        solver = ScanCheckedSolver(pigeonhole(6, 5))
+        assert solver.solve().status == "unsat"
+        assert solver.flushed_picks > 0 and solver.tied_picks > 0
