@@ -440,6 +440,14 @@ def dataset_to_json(ds: Dataset) -> str:
 
 
 def dataset_from_json(text: str) -> Dataset:
+    """The dataset of `dataset_to_json`'s text, checked field by field.
+
+    Each distinct literal string is parsed once per call: compiled data
+    repeats a few dozen rationals across all its rows, so later rows look
+    theirs up in a table local to this call, and nothing outlives it.  A
+    failed parse is not kept, so a malformed literal in a row raises
+    `DatasetError` naming the first field that holds it.
+    """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -449,11 +457,20 @@ def dataset_from_json(text: str) -> Dataset:
     if not isinstance(doc, dict):
         raise DatasetError("top level must be an object")
 
+    parsed = {}  # literal string -> its Fraction, for this document only
+
+    def rational(raw):
+        s = str(raw)
+        value = parsed.get(s)
+        if value is None:
+            value = parsed[s] = parse_rational(s)
+        return value
+
     def vec(raw, dim, what):
         if not isinstance(raw, list) or len(raw) != dim:
             raise DatasetError(f"{what} must be a list of {dim} rationals")
         try:
-            return tuple(parse_rational(str(v)) for v in raw)
+            return tuple(map(rational, raw))
         except ValueError as exc:
             raise DatasetError(f"{what}: {exc}") from None
 
@@ -505,6 +522,6 @@ def dataset_from_json(text: str) -> Dataset:
         n_z=n_z, n_o=n_o,
         observations=tuple(observations),
         evaluation_points=tuple(evaluation_points),
-        epsilon=None if eps is None else parse_rational(str(eps)),
-        M=None if big is None else parse_rational(str(big)),
+        epsilon=None if eps is None else rational(eps),
+        M=None if big is None else rational(big),
         offset_mode=offset_mode)

@@ -15,9 +15,9 @@ backtracks, and variables are freed only by backtracking; so the variables
 are sorted by activity once per backtrack, and each decision advances a
 cursor to the first free one.  There are no restarts and no randomness, so
 the same instance always gives the same verdict, model and conflict count.
-Every model is checked against every clause before it is returned, and a
-conflict budget turns a runaway search into `BudgetExhausted` instead of a
-wrong verdict.
+Every model is checked against every input and added clause before it is
+returned (learned clauses follow from them), and a conflict budget turns a
+runaway search into `BudgetExhausted` instead of a wrong verdict.
 """
 
 from __future__ import annotations
@@ -99,6 +99,9 @@ class Solver:
         self.conflict_limit = conflict_limit
         self.conflicts = 0
         self.clauses: list[list[int]] = []  # literal codes, see module doc
+        # the input clauses and those from add_clause, which every model
+        # must satisfy; learned clauses are their consequences
+        self.given: list[list[int]] = []
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
         # vals[code] is 1 if the literal is true, -1 if false, 0 if free
         self.vals: list[int] = [0] * (2 * n + 2)
@@ -125,8 +128,11 @@ class Solver:
         self._attach(cl, tautology)
 
     def _attach(self, lits, tautology: bool = False) -> None:
-        """Encode a checked clause (int literals, none repeated) and store it."""
-        self._store([2 * q if q > 0 else 1 - 2 * q for q in lits], tautology)
+        """Encode a checked clause (int literals, none repeated), store it
+        and keep it among the clauses that `_verify` checks."""
+        cl = [2 * q if q > 0 else 1 - 2 * q for q in lits]
+        self.given.append(cl)
+        self._store(cl, tautology)
 
     def _store(self, cl: list[int], tautology: bool = False) -> None:
         """Keep a clause of codes, which propagation reorders, then watch it
@@ -324,12 +330,13 @@ class Solver:
                 self._enqueue(2 * var + 1, None)  # try False first
 
     def _verify(self, model: list[bool]) -> None:
+        """Check `model` against every input and added clause."""
         true_codes = {2 * v + (not b) for v, b in enumerate(model, 1)}
-        for cl in self.clauses:
+        for cl in self.given:
             if cl and true_codes.isdisjoint(cl):
                 lits = [-(c >> 1) if c & 1 else c >> 1 for c in cl]
                 raise RuntimeError(f"internal error: model violates clause {lits}")
-        log.debug("model verified against %d clauses", len(self.clauses))
+        log.debug("model verified against %d clauses", len(self.given))
 
 
 def solve(inst: SatInstance, conflict_limit: int | None = None) -> SatResult:

@@ -30,9 +30,10 @@ Each cost vector is then scaled to integers over its own common
 denominator, and the arena's comparisons (costs against budgets, parts
 against parts) all run on integers.
 
-The SAT encoding has order variables only for the z-pairs that can gate
-a cycle (`_relevant_pairs`); `_cegar_search` says how a model's cycle
-becomes a blocking clause.
+The SAT encoding has one order variable per z-pair that can gate a
+cycle (`_relevant_pairs`), true when the lower index is above, and two
+transitivity clauses per triangle of such pairs (`_order_instance`);
+`_cegar_search` says how a model's cycle becomes a blocking clause.
 """
 
 from __future__ import annotations
@@ -298,30 +299,35 @@ def _relevant_pairs(arena: _Arena, units) -> set:
 
 
 def _order_var_map(pairs) -> dict:
-    """SAT variables above(a, b) for both orders of each pair in `pairs`,
-    numbered in lexicographic order of (a, b)."""
-    ordered = sorted([*pairs, *((b, a) for a, b in pairs)])
-    return {pair: v for v, pair in enumerate(ordered, 1)}
+    """One SAT variable per pair (a, b), a < b, of `pairs`, numbered in
+    lexicographic order; it is true when a is above b (`_above`)."""
+    return {pair: v for v, pair in enumerate(sorted(pairs), 1)}
+
+
+def _above(var: dict, a: int, b: int) -> int:
+    """The literal for above(a, b): the pair's variable, or its negation
+    when a > b."""
+    return var[(a, b)] if a < b else -var[(b, a)]
 
 
 def _order_instance(var: dict, extra_units=()) -> satcore.SatInstance:
-    """Exactly one of above(a, b) and above(b, a) per pair, transitivity
-    for each triple whose three pairs all have variables, and the units.
-    A model's `above` relation can still be cyclic; `_cegar_search` cuts
+    """Transitivity for each triangle a < b < c whose three pairs all have
+    variables, as the two clauses that forbid its two 3-cycles (the other
+    four transitivity clauses are their rotations), and the units.  A
+    model's `above` relation can still be cyclic; `_cegar_search` cuts
     such a cycle lazily."""
     succ = {}
     for a, b in var:
         succ.setdefault(a, []).append(b)
     clauses = []
     for (a, b), ab in var.items():
-        if a < b:
-            clauses.append([ab, var[(b, a)]])
-            clauses.append([-ab, -var[(b, a)]])
-    for (a, b), ab in var.items():
-        clauses.extend([-ab, -var[(b, c)], var[(a, c)]]
-                       for c in succ[b] if c != a and (a, c) in var)
-    for a, b in extra_units:
-        clauses.append([var[(a, b)]])
+        for c in succ.get(b, ()):
+            ac = var.get((a, c))
+            if ac is not None:
+                bc = var[(b, c)]
+                clauses.append([-ab, -bc, ac])
+                clauses.append([ab, bc, -ac])
+    clauses.extend([_above(var, a, b)] for a, b in extra_units)
     return satcore.SatInstance(len(var), clauses)
 
 
@@ -335,11 +341,13 @@ def _cegar_search(arena: _Arena, extra_units=(),
 
     The probe, brute force's first order, is accepted with no iterations
     when its graph is acyclic; otherwise the SAT search runs as if it had
-    not.  Its order variables cover only the relevant pairs
-    (`_relevant_pairs`): an order that agrees with a model on them has a
-    cycle exactly when the model's own lowest-index linear extension has
-    one.  When a model's `above` relation is itself cyclic (a cycle
-    through pairs that close no transitivity triangle), that cycle's
+    not.  It has one order variable per relevant pair (`_relevant_pairs`,
+    `_order_var_map`), and a model's `above` relation is read off each
+    variable's sign: an order that agrees with a model on those pairs has
+    a cycle exactly when the model's own lowest-index linear extension
+    has one.  Every clause it adds negates above-literals (`_above`).
+    When a model's `above` relation is itself cyclic (a cycle through
+    pairs that close no triangle of `_order_instance`), that cycle's
     literals are blocked as one clause, a lazy order cut that does not
     count as an iteration.
 
@@ -369,14 +377,16 @@ def _cegar_search(arena: _Arena, extra_units=(),
         result = solver.solve()
         if result.status == "unsat":
             return None, None, iterations
-        above = [pair for pair, v in var.items() if result.model[v - 1]]
+        model = result.model
+        above = [(a, b) if model[v - 1] else (b, a)
+                 for (a, b), v in var.items()]
         order = _total_order(nz, above)
         if order is None:
             below = [[] for _ in range(nz)]
             for a, b in above:
                 below[a].append(b)
             cut = list(_cycle_edges(find_cycle_in_adjacency(below)))
-            solver.add_clause([-var[pair] for pair in cut])
+            solver.add_clause([-_above(var, a, b) for a, b in cut])
             log.debug("lazy order cut: blocked the %d-pair order cycle %s",
                       len(cut), cut)
             continue
@@ -389,7 +399,7 @@ def _cegar_search(arena: _Arena, extra_units=(),
             return tuple(perm), tuple(arena.v_order(adj)), iterations
         cycle = _fewest_gated_cycle(adj, frozen, cycle)
         pairs, gated = _blocked_pairs(arena, cycle)
-        solver.add_clause([-var[pair] for pair in pairs])
+        solver.add_clause([-_above(var, a, b) for a, b in pairs])
         iterations += 1
         log.debug("refinement %d: component %d, blocked %d order literals "
                   "(%d before the column-run shortcut)", iterations,

@@ -529,6 +529,51 @@ class TestDatasetJson:
         with pytest.raises(DatasetError, match=fragment):
             dataset_from_json(text)
 
+    def test_each_distinct_literal_is_parsed_once_per_load(self,
+                                                            monkeypatch):
+        # compiled data repeats a few dozen rationals over all its rows
+        f = cnf.parse_dimacs("p cnf 7 6\n-4 6 5 0\n-4 1 3 0\n-4 1 -5 0\n"
+                             "4 5 6 0\n-6 4 5 0\n-4 7 -5 0\n")
+        ds = reduce_formula(f, "linear")
+        text = dataset_to_json(ds)
+        doc = json.loads(text)
+        literals = [doc["epsilon"], doc["M"]]
+        for row in doc["observations"]:
+            literals += row["x"] + row["p"]
+        for row in doc["evaluation_points"]:
+            literals += row["x"]
+        calls = []
+
+        def counting(s):
+            calls.append(s)
+            return parse_rational(s)
+
+        monkeypatch.setattr(reduction, "parse_rational", counting)
+        assert dataset_from_json(text) == ds
+        assert sorted(calls) == sorted(set(literals))
+        assert 10 * len(calls) < len(literals)
+        del calls[:]
+        assert dataset_from_json(text) == ds  # no table outlives a load
+        assert sorted(calls) == sorted(set(literals))
+
+    @pytest.mark.parametrize("bad, message", [
+        ('"1/0"', "zero denominator: '1/0'"),
+        ("0.5", "bad rational literal: '0.5'"),
+        ("true", "bad rational literal: 'True'")])
+    def test_a_repeated_malformed_literal_names_its_first_field(
+            self, bad, message):
+        # a failed parse is not kept: the first row that holds the
+        # literal is named, after rows whose literals were looked up
+        good = '["1", "1/2"]'
+        rows = [f'{{"x": {good}, "p": {good}}}',
+                f'{{"x": {good}, "p": ["1", {bad}]}}',
+                f'{{"x": [{bad}, "1"], "p": {good}}}']
+        text = ('{"n_z": 1, "n_o": 1, "observations": [' + ", ".join(rows)
+                + "]}")
+        with pytest.raises(DatasetError) as err:
+            dataset_from_json(text)
+        assert str(err.value) == f"observation 1 price: {message}"
+
     def test_foreign_dataset_without_metadata_loads(self):
         text = ('{"n_z": 1, "n_o": 1, "observations": '
                 '[{"x": ["1", "2"], "p": ["1", "1/2"]}]}')

@@ -87,6 +87,27 @@ class TestSolve:
         with pytest.raises(RuntimeError, match="violates clause"):
             solver._verify([True, True, False])  # only the last clause fails
 
+    def test_models_are_checked_against_input_and_added_clauses_only(
+            self, caplog):
+        # learned clauses follow from the others, so checking them too
+        # would only cost time: the log counts input plus added clauses
+        _, inst = pinned_formula(1)
+        solver = Solver(inst)
+        first = solver.solve()
+        assert first.status == "sat" and solver.conflicts > 0
+        solver.add_clause([1 if first.model[0] else -1, 2])
+        with caplog.at_level("DEBUG", logger="seprat.satcore"):
+            second = solver.solve()
+        assert second.status == "sat"
+        learned = len(solver.clauses) - len(inst.clauses) - 1
+        assert learned > 0
+        assert [r.getMessage() for r in caplog.records] == \
+            [f"model verified against {len(inst.clauses) + 1} clauses"]
+        # a clause stored the way learned ones are is not checked, even
+        # one the model violates
+        solver._store([2 + second.model[0]])  # the false literal of 1
+        solver._verify(second.model)
+
     def test_determinism(self):
         rng = random.Random(3)
         f = cnf.random_formula(rng, 8, 25)

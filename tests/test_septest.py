@@ -940,8 +940,13 @@ def refinement_cuts(monkeypatch):
 
     class RecordingSolver(septest.satcore.Solver):
         def add_clause(self, clause):
-            assert all(lit < 0 for lit in clause)
-            cuts.append([var_maps[-1][-lit] for lit in clause])
+            # pair (a, b), a < b, has one variable, true when a is above
+            # b: -v negates above(a, b), and +v negates above(b, a)
+            cut = []
+            for lit in clause:
+                a, b = var_maps[-1][abs(lit)]
+                cut.append((a, b) if lit < 0 else (b, a))
+            cuts.append(cut)
             super().add_clause(clause)
 
     monkeypatch.setattr(septest, "_order_var_map", recording_map)
@@ -1102,7 +1107,8 @@ class TestSparseRefinement:
 
     def test_order_instance_covers_only_the_relevant_pairs(self):
         # a compiled L=6 dataset with 21 z-parts: the eager instance had
-        # 420 variables and 8,409 clauses
+        # 420 variables and 8,409 clauses, and two variables per pair with
+        # six clauses per triangle gave 240 and 2,301
         f = cnf.parse_dimacs("p cnf 7 6\n-4 6 5 0\n-4 1 3 0\n-4 1 -5 0\n"
                              "4 5 6 0\n-6 4 5 0\n-4 7 -5 0\n")
         ds = reduce_formula(f, "linear")
@@ -1111,16 +1117,63 @@ class TestSparseRefinement:
         relevant = septest._relevant_pairs(arena, arena.z_dom_pairs)
         var = septest._order_var_map(relevant)
         instance = septest._order_instance(var, arena.z_dom_pairs)
-        assert (instance.var_count, len(instance.clauses)) == (240, 2301)
-        assert len(var) == 2 * len(relevant)
+        assert (instance.var_count, len(instance.clauses)) == (120, 693)
+        assert len(var) == len(relevant) and set(var) == relevant
         pair_of = {v: pair for pair, v in var.items()}
+        per_triangle = {}
         for clause in instance.clauses:
             if len(clause) == 3:
-                (a, b), (b2, c), (a2, c2) = (pair_of[abs(lit)]
-                                             for lit in clause)
-                assert (b, a2, c2) == (b2, a, c)
-                assert all((min(p), max(p)) in relevant
-                           for p in ((a, b), (b, c), (a, c)))
+                pairs = [pair_of[abs(lit)] for lit in clause]
+                a, b, c = sorted({z for pair in pairs for z in pair})
+                assert pairs == [(a, b), (b, c), (a, c)]
+                per_triangle.setdefault((a, b, c), []).append(clause)
+        triangles = [(a, b, c) for a, b, c in itertools.combinations(
+            range(arena.nz), 3)
+            if {(a, b), (b, c), (a, c)} <= relevant]
+        assert sorted(per_triangle) == triangles
+        assert all(len(clauses) == 2 for clauses in per_triangle.values())
+
+    @pytest.mark.parametrize("chordless", [False, True],
+                             ids=["complete-on-5", "chordless-4-cycle"])
+    def test_order_instance_forbids_exactly_the_cyclic_triangles(
+            self, chordless):
+        # Over every assignment, the instance holds exactly when no
+        # triangle of relevant pairs is ranked in a cycle.  The chordless
+        # set is the relevant pairs of `test_cyclic_model_gets_a_lazy_
+        # order_cut`: its 4-cycle 1-2-3-4-1 closes no triangle, so the
+        # instance allows ranking it in a cycle.
+        if chordless:
+            arena, _ = _hand_built_arena(
+                5, [[0, 1], [1, 2], [2, 3], [3, 4], [4, 1]],
+                [((0, 1), (0, 0)), ((3, 3), (3, 4))])
+            pairs = septest._relevant_pairs(arena, [(1, 2), (2, 3)])
+            assert pairs == {(0, 1), (1, 2), (2, 3), (3, 4), (1, 4)}
+        else:
+            pairs = set(itertools.combinations(range(5), 2))
+        var = septest._order_var_map(pairs)
+        instance = septest._order_instance(var)
+        triangles = [(a, b, c) for a, b, c in itertools.combinations(
+            range(5), 3) if {(a, b), (b, c), (a, c)} <= pairs]
+        cyclic_models = four_cycles = 0
+        for values in itertools.product((False, True), repeat=len(var)):
+            def true(lit):
+                return values[abs(lit) - 1] == (lit > 0)
+
+            def above(a, b):
+                return true(septest._above(var, a, b))
+            holds = all(any(map(true, cl)) for cl in instance.clauses)
+            cyclic = any(above(a, b) == above(b, c) == above(c, a)
+                         for a, b, c in triangles)
+            assert holds == (not cyclic)
+            cyclic_models += cyclic
+            if chordless:
+                four_cycles += above(1, 2) and above(2, 3) and \
+                    above(3, 4) and above(4, 1)
+        assert len(instance.clauses) == 2 * len(triangles)
+        if chordless:
+            assert not triangles and four_cycles == 2
+        else:
+            assert len(triangles) == 10 and cyclic_models > 0
 
 
 def test_default_grid_agrees_with_full_product_on_foreign_data():
