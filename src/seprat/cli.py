@@ -35,9 +35,13 @@ MAX_SAT_VARIABLES = 1 << 17
 
 
 def _setup_logging() -> None:
-    level = os.environ.get("SEPRAT_LOG", "warning").upper()
+    # getLevelName maps a level name to its number and any other string to
+    # a string, so an unknown value (even another attribute of `logging`,
+    # such as BASIC_FORMAT) falls back to WARNING
+    name = os.environ.get("SEPRAT_LOG", "warning").upper()
+    level = logging.getLevelName(name)
     logging.getLogger("seprat").setLevel(
-        getattr(logging, level, logging.WARNING))
+        level if isinstance(level, int) else logging.WARNING)
 
 
 def _read(path: str) -> str:

@@ -15,10 +15,11 @@ those strict gaps: epsilon shifts a bundle slightly without crossing any
 other supporting hyperplane, and M dwarfs every cross cost.
 
 A clause over variables (i, j, h) becomes nine bundles w1..w9 in R^8 (two
-priced axes plus six bookkeeping goods) of which six are purchased at
-prices r1..r8; w3, w6, w9 are never purchased and are emitted as
-evaluation points only.  When a literal is negated, the roles of that
-variable's two base points swap ("hatted" selection).  The six
+priced axes plus six bookkeeping goods).  The slot table `_SLOTS` is the
+one statement of that layout: each slot's literal, base point, epsilon
+shift and bookkeeping good.  Six bundles are purchased at prices r1..r8;
+w3, w6, w9 are emitted as evaluation points only.  A negated literal
+swaps its variable's two base points ("hatted" selection).  The six
 observations generate, among the nine bundles, exactly three chains
 
     w1 > w2 > w3,   w4 > w5 > w6,   w7 > w8 > w9
@@ -73,8 +74,8 @@ CHAIN_EDGES = frozenset(
 
 _ONES2 = (Fraction(1), Fraction(1))
 
-# base_points and compute_epsilon_M compare all 2I base points pairwise, so
-# compile time grows with the square of the declared variable count
+# compute_epsilon_M compares all 2I base points pairwise, so compile time
+# grows with the square of the declared variable count
 MAX_VARIABLES = 128
 
 OFFSET_MODES = ("paper", "linear")
@@ -149,7 +150,8 @@ class Dataset:
 
 
 def base_points(count: int) -> BasePoints:
-    """Base bundles z^q_i with supporting prices, verified pairwise."""
+    """Base bundles z^q_i with supporting prices, each costing 1 at its own
+    price (`compute_epsilon_M` checks that every cross cost exceeds 1)."""
     if count < 1:
         raise ConstructionError("need at least one variable")
     if count > MAX_VARIABLES:
@@ -161,14 +163,10 @@ def base_points(count: int) -> BasePoints:
         z[(i, 2)] = (Fraction(2 * i + 1, 2), Fraction(2, 2 * i + 1))
         p[(i, 1)] = (Fraction(1, 2 * i), Fraction(i, 2))
         p[(i, 2)] = (Fraction(1, 2 * i + 1), Fraction(2 * i + 1, 4))
-    bp = BasePoints(count, z, p)
-    for a in bp.pairs():
-        if dot(bp.p[a], bp.z[a]) != 1:
+    for a in z:
+        if dot(p[a], z[a]) != 1:
             raise ConstructionError(f"support price at {a} does not normalize")
-        for b in bp.pairs():
-            if b != a and dot(bp.p[a], bp.z[b]) <= 1:
-                raise ConstructionError(f"support separation fails for {a} vs {b}")
-    return bp
+    return BasePoints(count, z, p)
 
 
 def compute_epsilon_M(bp: BasePoints) -> GadgetConstants:
@@ -196,16 +194,20 @@ def compute_epsilon_M(bp: BasePoints) -> GadgetConstants:
 
 _BOOKKEEPING_GOODS = range(Z_DIM + 1, PRE_DIM + 1)  # goods 3..8
 
-# The bookkeeping good each slot's bundle holds one unit of.
-_SLOT_GOOD = {1: 3, 2: 4, 3: 7, 4: 7, 5: 5, 6: 8, 7: 8, 8: 6, 9: 3}
+# The one statement of the clause block's layout: slot t -> (position of
+# the clause literal its bundle draws on, that literal's base point q, the
+# epsilon shift, the bookkeeping good held).  One line per chain.
+_SLOTS = {1: (0, 2, False, 3), 2: (1, 1, True, 4), 3: (1, 1, False, 7),
+          4: (1, 2, False, 7), 5: (2, 1, True, 5), 6: (2, 1, False, 8),
+          7: (2, 2, False, 8), 8: (0, 1, True, 6), 9: (0, 1, False, 3)}
 
-# Goods that price r_k leaves free (chain successor's, plus its own for
-# the middle prices); every other bookkeeping good costs M.
-_FREE_GOODS = {
-    1: {_SLOT_GOOD[2]}, 2: {_SLOT_GOOD[2], _SLOT_GOOD[3]},
-    4: {_SLOT_GOOD[5]}, 5: {_SLOT_GOOD[5], _SLOT_GOOD[6]},
-    7: {_SLOT_GOOD[8]}, 8: {_SLOT_GOOD[8], _SLOT_GOOD[9]},
-}
+_SLOT_GOOD = {t: good for t, (_, _, _, good) in _SLOTS.items()}
+
+# Goods that price r_k leaves free: its chain successor's, plus its own for
+# the middle prices r2, r5, r8; every other bookkeeping good costs M.
+_FREE_GOODS = {k: {_SLOT_GOOD[k + 1]}
+               | ({_SLOT_GOOD[k]} if k + 1 in AUXILIARY_SLOTS else set())
+               for k in OBSERVED_SLOTS}
 
 _SLOT_O = {
     t: tuple(Fraction(1 if c == good else 0) for c in _BOOKKEEPING_GOODS)
@@ -216,45 +218,23 @@ def build_clause_gadget(clause: Clause, bp: BasePoints,
                         gc: GadgetConstants) -> ClauseGadget:
     """Nine bundles and six prices for one clause, before embedding.
 
-    Negated literals use the swapped base point (q -> 3-q) for both the
-    bundle and its supporting price; that includes the second price of the
-    middle slot, whose unpurchased twin bundle w3 shares its o-profile.
+    Bundle t is the base point that `_SLOTS` names (q -> 3-q for a negated
+    literal), shifted by (epsilon, epsilon) when marked, then the slot's
+    o-profile.  Price r_k supports the same, unshifted base point and
+    charges M on each bookkeeping good outside `_FREE_GOODS[k]`.
     """
-    (vi, ni), (vj, nj), (vh, nh) = clause.literals
-    eps, M = gc.epsilon, gc.M
-
-    def hz(v, neg, q):
-        return bp.z[(v, 3 - q if neg else q)]
-
-    def hp(v, neg, q):
-        return bp.p[(v, 3 - q if neg else q)]
-
-    def shifted(zv):
-        return (zv[0] + eps, zv[1] + eps)
-
-    def price_o(k):
-        return tuple(Fraction(0) if c in _FREE_GOODS[k] else M
-                     for c in _BOOKKEEPING_GOODS)
-
-    bundles = {
-        1: hz(vi, ni, 2) + _SLOT_O[1],
-        2: shifted(hz(vj, nj, 1)) + _SLOT_O[2],
-        3: hz(vj, nj, 1) + _SLOT_O[3],
-        4: hz(vj, nj, 2) + _SLOT_O[4],
-        5: shifted(hz(vh, nh, 1)) + _SLOT_O[5],
-        6: hz(vh, nh, 1) + _SLOT_O[6],
-        7: hz(vh, nh, 2) + _SLOT_O[7],
-        8: shifted(hz(vi, ni, 1)) + _SLOT_O[8],
-        9: hz(vi, ni, 1) + _SLOT_O[9],
-    }
-    prices = {
-        1: hp(vi, ni, 2) + price_o(1),
-        2: hp(vj, nj, 1) + price_o(2),
-        4: hp(vj, nj, 2) + price_o(4),
-        5: hp(vh, nh, 1) + price_o(5),
-        7: hp(vh, nh, 2) + price_o(7),
-        8: hp(vi, ni, 1) + price_o(8),
-    }
+    bundles, prices = {}, {}
+    for t, (position, q, shift, _) in _SLOTS.items():
+        v, negated = clause.literals[position]
+        base = (v, 3 - q if negated else q)
+        x, y = bp.z[base]
+        if shift:
+            x, y = x + gc.epsilon, y + gc.epsilon
+        bundles[t] = (x, y) + _SLOT_O[t]
+        if t in OBSERVED_SLOTS:
+            prices[t] = bp.p[base] + tuple(
+                Fraction(0) if c in _FREE_GOODS[t] else gc.M
+                for c in _BOOKKEEPING_GOODS)
     return ClauseGadget(bundles, prices)
 
 

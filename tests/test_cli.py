@@ -354,6 +354,23 @@ def test_log_env_var_controls_verbosity(capsys, monkeypatch, cnf_file):
         pkg_logger.setLevel(before)
 
 
+@pytest.mark.parametrize("value", ["basic_format", "bogus"])
+def test_log_env_var_accepts_only_level_names(capsys, monkeypatch, cnf_file,
+                                              value):
+    # BASIC_FORMAT is an upper-case attribute of logging but no level
+    import logging
+    monkeypatch.setenv("SEPRAT_LOG", value)
+    pkg_logger = logging.getLogger("seprat")
+    before = pkg_logger.level
+    try:
+        code, out, _ = run(capsys, "sat", cnf_file)
+        assert code == 0
+        assert json.loads(out)["status"] == "sat"
+        assert pkg_logger.level == logging.WARNING
+    finally:
+        pkg_logger.setLevel(before)
+
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 

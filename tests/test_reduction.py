@@ -104,6 +104,21 @@ class TestConstants:
                 assert 1 < 1 + gc.epsilon * mass < cross
                 assert cross + gc.epsilon * mass < gc.M
 
+    def test_coinciding_base_points_fail_the_epsilon_gap(self, monkeypatch,
+                                                         single_clause):
+        # compute_epsilon_M is the one check that base points separate:
+        # two equal entries cost exactly 1 at each other's price
+        bp = base_points(3)
+        z, p = dict(bp.z), dict(bp.p)
+        z[(2, 1)], p[(2, 1)] = z[(1, 1)], p[(1, 1)]
+        bad = reduction.BasePoints(3, z, p)
+        assert dot(p[(1, 1)], z[(2, 1)]) == 1  # delta = 0
+        with pytest.raises(ConstructionError, match="epsilon gap fails"):
+            compute_epsilon_M(bad)
+        monkeypatch.setattr(reduction, "base_points", lambda count: bad)
+        with pytest.raises(ConstructionError, match="epsilon gap fails"):
+            reduce_formula(single_clause)
+
 
 def oracle_tables(clause, bp, gc):
     """Independent transcription of the nine-bundle cost tables."""
