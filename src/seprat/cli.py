@@ -58,7 +58,7 @@ def _load_dataset(path: str) -> reduction.Dataset:
 
 
 def _emit(doc) -> None:
-    print(json.dumps(doc, indent=2))
+    print(json.dumps(doc))
 
 
 def _verdict_doc(verdict: septest.TestVerdict) -> dict:

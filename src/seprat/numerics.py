@@ -2,8 +2,9 @@
 
 Data stays exact: every quantity is a `fractions.Fraction`, and nothing in
 the core touches floating point, so strict inequalities are decided
-exactly.  Vectors are plain tuples of Fractions; the witness checker
-compares integers scaled by common denominators instead.
+exactly.  Vectors are plain tuples of Fractions; the decider's arena and
+the witness checker compute on integers scaled by common denominators
+instead.
 """
 
 from __future__ import annotations

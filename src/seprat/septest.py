@@ -24,11 +24,10 @@ between o-columns that links each column to every column some edge
 family could reach from it under some u-order.  No cycle leaves one, so
 point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
-order.  Costs are taken once per distinct price: compiled data repeats
-its prices across levels, so most observations need no inner product.
-Each cost vector is then scaled to integers over its own common
-denominator, and the arena's comparisons (costs against budgets, parts
-against parts) all run on integers.
+order.  The arena runs on integers alone: the grid's z- and o-parts share
+one common denominator, each distinct price has its own, and every cost
+is an integer inner product, taken once per distinct price (compiled
+data repeats its prices across levels, so most observations need none).
 
 The SAT encoding has one order variable per z-pair that can gate a
 cycle (`_relevant_pairs`), true when the lower index is above, and two
@@ -48,7 +47,7 @@ from operator import ge, mul
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import DimensionMismatch, dot
+from .numerics import DimensionMismatch
 from .reduction import Dataset, base_points
 from .rpcore import (TIE_MODES, Grid, RelationError, build_grid,
                      find_cycle_in_adjacency, strongly_connected_components,
@@ -76,13 +75,35 @@ class SeparabilityWitness:
 
 @dataclass(frozen=True, slots=True)
 class TestVerdict:
-    status: str         # "rationalizable" | "not-rationalizable"
-    witness: SeparabilityWitness | None
-    stats: dict
+    """A decision, kept flat: the witness's two orders (None when not
+    rationalizable) and how it was found.  `status`, `witness` and `stats`
+    are built on demand, so a verdict holds no dict and no second object."""
+    u_order: tuple | None
+    v_order: tuple | None
+    method: str         # "cegar" | "bruteforce"
+    iterations: int     # refinements, or orders brute force explored
+    grid: str           # the grid's mode
 
     @property
     def rationalizable(self) -> bool:
-        return self.status == "rationalizable"
+        return self.u_order is not None
+
+    @property
+    def status(self) -> str:
+        return "rationalizable" if self.rationalizable \
+            else "not-rationalizable"
+
+    @property
+    def witness(self) -> SeparabilityWitness | None:
+        if self.u_order is None:
+            return None
+        return SeparabilityWitness(self.u_order, self.v_order)
+
+    @property
+    def stats(self) -> dict:
+        count = "iterations" if self.method == "cegar" else "orders_explored"
+        return {"method": self.method, count: self.iterations,
+                "grid": self.grid}
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,13 +118,15 @@ class _Arena:
 
     The column graph links each observation's column to every column whose
     cheapest point it affords, and each column to every column whose
-    o-part its own dominates.  Costs come from one z-cost vector per
-    distinct z-price and one o-cost vector per distinct o-price, so an
-    observation whose price repeats an earlier one's takes no new inner
-    product.  Each vector is kept as integers over its least common
-    denominator, d_z or d_o; a cost compared with a budget is a z-cost
-    times d_o plus an o-cost times d_z, so no comparison touches a
-    `Fraction`.  Dominance between parts is tested on integers too
+    o-part its own dominates.  All grid parts are scaled once, to
+    integers over one common denominator D.  Costs come from one z-cost
+    vector per distinct z-price and one o-cost vector per distinct
+    o-price (`_cost_vector`), so an observation whose price repeats an
+    earlier one's takes no new inner product.  Each price is scaled over
+    its least common denominator, d_z or d_o, so a z-cost vector is on
+    the d_z * D scale; a cost compared with a budget is a z-cost times
+    d_o plus an o-cost times d_z, so no cost or comparison touches a
+    `Fraction`.  Dominance between parts is tested on the scaled parts
     (`_dominated_pairs`).  Every edge of the combined relation, under any
     u-order, runs along that graph (2-edges stay inside one column), so
     its strongly connected components hold every cycle.  `comp` labels
@@ -128,11 +151,18 @@ class _Arena:
             raise RelationError(f"unknown tie mode {tie_mode!r}")
         weak = tie_mode == "weak"
         self.grid = grid
-        self.nz = len(grid.z_parts)
+        nz = self.nz = len(grid.z_parts)
         pt_z, pt_o = grid.pt_z, grid.pt_o
+        # z- and o-parts share one denominator D: scaled apart, each cost
+        # sum would weigh its two halves differently
+        parts = _lcd_scaled_parts(grid.z_parts + grid.o_parts)
+        z_parts, o_parts = parts[:nz], parts[nz:]
+        if len({len(v) for v in z_parts}) > 1 \
+                or len({len(v) for v in o_parts}) > 1:
+            raise DimensionMismatch("grid parts differ in length")
 
-        dominating = _dominated_pairs(grid.o_parts)
-        between = [set() for _ in grid.o_parts]
+        dominating = _dominated_pairs(o_parts)
+        between = [set() for _ in o_parts]
         for a, b in dominating:
             between[a].add(b)
         # a column's cheapest point has its least z-cost; per-level grids
@@ -144,22 +174,23 @@ class _Arena:
             col_set.append(z_sets.setdefault(zs, len(z_sets)))
         # compiled data repeats its prices, so each cost vector (and each
         # z-cost's least value per z-part set) is taken once per price,
-        # as integers over its own denominator: d_z for a z-cost, d_o for
-        # an o-cost, so every cost below is on the d_z * d_o scale
+        # over the price's own denominator: d_z for a z-cost, d_o for an
+        # o-cost, so every cost below is on the d_z * d_o * D scale
         z_costs, o_costs = {}, {}
         revealed = []
         for obs, src in zip(ds.observations, grid.sources(ds)):
+            if len(obs.p) != len(obs.x):
+                raise DimensionMismatch(
+                    f"dimension {len(obs.p)} vs {len(obs.x)}")
             pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
             zc = z_costs.get(pz)
             if zc is None:
-                z_cost, d_z = _lcd_scaled([dot(pz, part)
-                                           for part in grid.z_parts])
+                z_cost, d_z = _cost_vector(pz, z_parts)
                 zc = z_costs[pz] = z_cost, d_z, [min(z_cost[z] for z in zs)
                                                  for zs in z_sets]
             oc = o_costs.get(po)
             if oc is None:
-                oc = o_costs[po] = _lcd_scaled([dot(po, part)
-                                                for part in grid.o_parts])
+                oc = o_costs[po] = _cost_vector(po, o_parts)
             (z_cost, d_z, z_least), (o_cost, d_o) = zc, oc
             budget = z_cost[pt_z[src]] * d_o + o_cost[pt_o[src]] * d_z
             slack = [budget - least * d_o for least in z_least]
@@ -200,7 +231,7 @@ class _Arena:
         for s, d in self.always:
             self.fixed[s].add(d)
 
-        self.z_dom_pairs = _dominated_pairs(grid.z_parts)
+        self.z_dom_pairs = _dominated_pairs(z_parts)
 
     def adjacency_under(self, rank: list) -> list:
         """The combined relation under `rank` inside the components: it
@@ -232,22 +263,34 @@ class _Arena:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
 
 
-def _lcd_scaled(values: list) -> tuple:
+def _lcd_scaled(values) -> tuple:
     """`values` as integers over their least common denominator, and
     that denominator."""
     den = math.lcm(*(v.denominator for v in values))
     return [v.numerator * (den // v.denominator) for v in values], den
 
 
-def _dominated_pairs(parts: list) -> list:
-    """Index pairs (a, b), a != b, with parts[a] >= parts[b] in every
-    coordinate: grid parts are distinct, so parts[a] dominates parts[b].
-    Compared on integers: all coordinates over one common denominator."""
+def _lcd_scaled_parts(parts: list) -> list:
+    """`parts` as integer tuples over one common denominator."""
     flat, _ = _lcd_scaled([c for part in parts for c in part])
     it = iter(flat)
-    ints = [tuple(itertools.islice(it, len(part))) for part in parts]
-    return [(a, b) for a, pa in enumerate(ints)
-            for b, pb in enumerate(ints) if a != b and all(map(ge, pa, pb))]
+    return [tuple(itertools.islice(it, len(part))) for part in parts]
+
+
+def _cost_vector(price, parts: list) -> tuple:
+    """The cost of each of the integer `parts` at `price`, as integers
+    over the price's least common denominator, and that denominator; the
+    caller has checked that the lengths agree."""
+    ints, den = _lcd_scaled(price)
+    return [sum(map(mul, ints, part)) for part in parts], den
+
+
+def _dominated_pairs(parts: list) -> list:
+    """Index pairs (a, b), a != b, with parts[a] >= parts[b] in every
+    coordinate of the integer `parts`: grid parts are distinct, so
+    parts[a] dominates parts[b]."""
+    return [(a, b) for a, pa in enumerate(parts)
+            for b, pb in enumerate(parts) if a != b and all(map(ge, pa, pb))]
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
@@ -259,7 +302,7 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
             f"{arena.nz} z-parts exceeds the enumeration guard of "
             f"{BRUTEFORCE_ZPART_GUARD}; use decide_cegar")
     explored = 0
-    witness = None
+    u_order = v_order = None
     rank = [0] * arena.nz
     for perm in itertools.permutations(range(arena.nz)):
         for pos, z in enumerate(perm):
@@ -269,12 +312,10 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
         explored += 1
         order = arena.v_order(arena.adjacency_under(rank))
         if order is not None:
-            witness = _checked(ds, grid, tie_mode, tuple(perm), tuple(order))
+            u_order, v_order = tuple(perm), tuple(order)
+            _checked(ds, grid, tie_mode, u_order, v_order)
             break
-    stats = {"method": "bruteforce", "orders_explored": explored,
-             "grid": grid.mode}
-    status = "not-rationalizable" if witness is None else "rationalizable"
-    return TestVerdict(status, witness, stats)
+    return TestVerdict(u_order, v_order, "bruteforce", explored, grid.mode)
 
 
 def _relevant_pairs(arena: _Arena, units) -> set:
@@ -484,11 +525,9 @@ def decide_cegar(ds: Dataset, grid: Grid, tie_mode: str = "weak",
     """One probe, then lazy SAT search with cycle-driven blocking clauses."""
     arena = _Arena(ds, grid, tie_mode)
     u_order, v_order, iterations = _cegar_search(arena, (), conflict_limit)
-    stats = {"method": "cegar", "iterations": iterations, "grid": grid.mode}
-    if u_order is None:
-        return TestVerdict("not-rationalizable", None, stats)
-    return TestVerdict("rationalizable",
-                       _checked(ds, grid, tie_mode, u_order, v_order), stats)
+    if u_order is not None:
+        _checked(ds, grid, tie_mode, u_order, v_order)
+    return TestVerdict(u_order, v_order, "cegar", iterations, grid.mode)
 
 
 def decide(ds: Dataset, tie_mode: str = "weak",

@@ -129,6 +129,19 @@ def test_negative_budget_is_a_usage_error(capsys, tmp_path, cnf_file):
         assert "--budget" in err and "Traceback" not in err
 
 
+def test_json_commands_print_one_line(capsys, tmp_path, cnf_file):
+    # `test`, `sat` and `verify` print their JSON document on one line
+    dataset = tmp_path / "ds.json"
+    assert run(capsys, "reduce", cnf_file, "-o", str(dataset))[0] == 0
+    for command, path in (("test", str(dataset)), ("sat", cnf_file),
+                          ("verify", cnf_file)):
+        code, out, _ = run(capsys, command, path)
+        assert code == 0, command
+        lines = out.splitlines()
+        assert len(lines) == 1 and out == lines[0] + "\n", command
+        assert isinstance(json.loads(lines[0]), dict), command
+
+
 class TestSat:
     def test_model_emitted(self, capsys, cnf_file):
         code, out, _ = run(capsys, "sat", cnf_file)
@@ -213,7 +226,8 @@ class TestVerify:
                                                cnf_file):
         # a decider that rejects the satisfiable single clause
         def reject(*args, **kwargs):
-            return septest.TestVerdict("not-rationalizable", None, {})
+            return septest.TestVerdict(None, None, "cegar", 0,
+                                       "per-level-union")
 
         monkeypatch.setattr(septest, "decide", reject)
         code, out, err = run(capsys, "verify", cnf_file,

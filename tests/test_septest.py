@@ -11,8 +11,9 @@ import pytest
 
 from seprat import cli, cnf, septest
 from seprat.numerics import DimensionMismatch, dot
-from seprat.reduction import (Dataset, EvaluationPoint, Observation,
-                              base_points, dataset_to_json, reduce_formula)
+from seprat.reduction import (OFFSET_MODES, Dataset, EvaluationPoint,
+                              Observation, base_points, dataset_to_json,
+                              reduce_formula)
 from seprat.rpcore import (RelationError, build_grid,
                            find_cycle_in_adjacency, revealed_relation,
                            topological_order)
@@ -763,9 +764,28 @@ def _arena_partition(arena):
     return {frozenset(pts) for pts in members.values()}
 
 
+def _equal_cost_dataset(rng):
+    """A foreign dataset with one evaluation point per observation that
+    costs exactly its bundle at its price: a move along the first two
+    z-goods that trades p[1] of the first for p[0] of the second.  The
+    point shares the bundle's o-part, so it lies in the bundle's
+    component, where weak ties relate it and strict ties do not."""
+    ds = random_foreign_dataset(rng)
+    ties = []
+    for obs in ds.observations:
+        x, p = obs.x, obs.p
+        t = x[1] / p[0] if x[1] else F(1)
+        ties.append(EvaluationPoint(
+            x=(x[0] + p[1] * t, x[1] - p[0] * t) + x[2:]))
+    return dataclasses.replace(
+        ds, evaluation_points=ds.evaluation_points + tuple(ties))
+
+
 def test_arena_edge_families_match_an_all_pairs_scan():
     # the arena keeps exactly the all-pairs families inside one envelope
-    # component, and its components are the envelope's
+    # component, and its components are the envelope's; the 1-edges come
+    # from `revealed_relation` on Fractions, so integer scaling must keep
+    # every equality and every strict inequality
     rng = random.Random(23)
     datasets = [random_foreign_dataset(rng) for _ in range(40)]
     for text in (SINGLE_CLAUSE, SLOT_CONFLICT):
@@ -779,11 +799,18 @@ def test_arena_edge_families_match_an_all_pairs_scan():
     price = shared.observations[0].p
     datasets.append(dataclasses.replace(shared, observations=tuple(
         dataclasses.replace(o, p=price) for o in shared.observations)))
-    dropped = 0
+    # bundles of equal cost, where weak and strict ties differ, and
+    # compiled data with tiny positive prices
+    ties = [_equal_cost_dataset(rng) for _ in range(30)]
+    datasets += ties + [reduce_formula(cnf.random_formula(rng, 6, 5), mode,
+                                       F(1, 10**6)) for mode in OFFSET_MODES]
+    dropped = differ = 0
     for ds in datasets:
         grid = build_grid(ds)
+        frozen = {}
         for tie in ("strict", "weak"):
             arena = _Arena(ds, grid, tie)
+            frozen[tie] = Counter(arena.always)
             always, candidates = _all_pairs_edge_families(ds, grid, tie)
             partition = _envelope_partition(grid, always, candidates)
             assert _arena_partition(arena) == partition
@@ -796,18 +823,21 @@ def test_arena_edge_families_match_an_all_pairs_scan():
             assert Counter(arena.dom_candidates) == inner_candidates
             dropped += always.total() + candidates.total() \
                 - len(arena.always) - len(arena.dom_candidates)
+        differ += frozen["strict"] != frozen["weak"]
     assert dropped > 0
+    assert differ >= len(ties)
 
 
 def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
-    # compiled data repeats its prices, so the arena's dot products grow
+    # compiled data repeats its prices, so the arena's inner products grow
     # with the distinct prices, not with the observations
     calls = []
+    cost_vector = septest._cost_vector
 
-    def counted(p, x):
-        calls.append(None)
-        return dot(p, x)
-    monkeypatch.setattr(septest, "dot", counted)
+    def counted(price, parts):
+        calls.extend([None] * len(parts))
+        return cost_vector(price, parts)
+    monkeypatch.setattr(septest, "_cost_vector", counted)
     f = cnf.random_formula(random.Random(6), 8, 6)
     for mode, eta in (("paper", 0), ("linear", 0), ("linear", F(1, 7))):
         ds = reduce_formula(f, mode, eta)
@@ -819,6 +849,38 @@ def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
         _Arena(ds, grid, "strict")
         assert len(calls) == len(z_prices) * len(grid.z_parts) \
             + len(o_prices) * len(grid.o_parts), (mode, eta)
+
+
+def test_arena_raises_on_bundles_of_different_lengths():
+    # each price matches its own bundle, but not the other bundle's parts
+    obs = (Observation(x=(F(1), F(2), F(3)), p=(F(1), F(1), F(1))),
+           Observation(x=(F(2), F(1), F(1), F(1)),
+                       p=(F(1), F(1), F(1), F(1))))
+    ds = Dataset(n_z=2, n_o=1, observations=obs, evaluation_points=())
+    grid = build_grid(ds)
+    for tie in ("strict", "weak"):
+        with pytest.raises(DimensionMismatch, match="grid parts"):
+            _Arena(ds, grid, tie)
+
+
+def test_deciders_take_no_fraction_inner_products(monkeypatch):
+    # every cost the decision needs is an integer inner product
+    datasets = [reduce_formula(cnf.random_formula(random.Random(6), 8, 6),
+                               "linear", F(1, 7)),
+                reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT))]
+    rng = random.Random(29)
+    datasets += [random_foreign_dataset(rng) for _ in range(10)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the decision took a Fraction inner product")
+    for name, module in list(sys.modules.items()):
+        if name == "seprat" or name.startswith("seprat."):
+            for attr, value in list(vars(module).items()):
+                if value is dot:
+                    monkeypatch.setattr(module, attr, forbidden)
+    for ds in datasets:
+        for tie in ("strict", "weak"):
+            decide(ds, tie)
 
 
 def test_arena_compares_no_fractions(monkeypatch):
