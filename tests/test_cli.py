@@ -130,16 +130,21 @@ def test_negative_budget_is_a_usage_error(capsys, tmp_path, cnf_file):
 
 
 def test_json_commands_print_one_line(capsys, tmp_path, cnf_file):
-    # `test`, `sat` and `verify` print their JSON document on one line
+    # every JSON document is one line: `reduce`'s dataset on stdout and in
+    # the -o file, and the `test`, `sat` and `verify` documents
+    def one_line(text, what):
+        lines = text.splitlines()
+        assert len(lines) == 1 and text == lines[0] + "\n", what
+        assert isinstance(json.loads(lines[0]), dict), what
+
     dataset = tmp_path / "ds.json"
     assert run(capsys, "reduce", cnf_file, "-o", str(dataset))[0] == 0
-    for command, path in (("test", str(dataset)), ("sat", cnf_file),
-                          ("verify", cnf_file)):
+    one_line(dataset.read_text(), "reduce -o")
+    for command, path in (("reduce", cnf_file), ("test", str(dataset)),
+                          ("sat", cnf_file), ("verify", cnf_file)):
         code, out, _ = run(capsys, command, path)
         assert code == 0, command
-        lines = out.splitlines()
-        assert len(lines) == 1 and out == lines[0] + "\n", command
-        assert isinstance(json.loads(lines[0]), dict), command
+        one_line(out, command)
 
 
 class TestSat:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import json
 import random
@@ -14,7 +15,7 @@ from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
-from tests.conftest import (SINGLE_CLAUSE, SLOT_CONFLICT,
+from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
                             exhaustive_level_separation)
 
 F = Fraction
@@ -103,6 +104,22 @@ class TestConstants:
                 cross = dot(bp.p[a], bp.z[b])
                 assert 1 < 1 + gc.epsilon * mass < cross
                 assert cross + gc.epsilon * mass < gc.M
+
+    @pytest.mark.parametrize("count", [1, 2, 22])
+    def test_each_cross_cost_is_taken_once(self, monkeypatch, count):
+        # one inner product per ordered pair of the 2I base points and one
+        # price mass per base point
+        bp = base_points(count)
+        calls = []
+
+        def counting(p, x):
+            calls.append(None)
+            return dot(p, x)
+
+        monkeypatch.setattr(reduction, "dot", counting)
+        compute_epsilon_M(bp)
+        n = 2 * count
+        assert len(calls) == n * (n - 1) + n
 
     def test_coinciding_base_points_fail_the_epsilon_gap(self, monkeypatch,
                                                          single_clause):
@@ -464,23 +481,28 @@ class TestLevelSeparation:
             reduce_formula(single_clause, "paper", F(-1, 2))
 
 
+def _json_cases(single_clause):
+    """Compiled, linear with positive prices, empty and foreign datasets."""
+    return [reduce_formula(single_clause),
+            reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT), "linear", F(1, 7)),
+            Dataset(n_z=1, n_o=0, observations=(), evaluation_points=()),
+            dataset_from_json(
+                '{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", "2"], '
+                '"p": ["1", "-1/2"]}]}')]
+
+
 class TestDatasetJson:
     def test_round_trip_is_bit_exact(self, single_clause):
-        ds = reduce_formula(single_clause)
-        again = dataset_from_json(dataset_to_json(ds))
-        assert again == ds
+        for ds in _json_cases(single_clause):
+            text = dataset_to_json(ds)
+            again = dataset_from_json(text)
+            assert again == ds
+            assert dataset_to_json(again) == text
 
-    def test_text_is_the_indented_dump_of_the_document(self, single_clause):
-        # rows are encoded one at a time; the text must match the one-shot
-        # json.dumps of the whole document, also for empty row lists
-        cases = [reduce_formula(single_clause),
-                 reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT), "linear",
-                                F(1, 7)),
-                 Dataset(n_z=1, n_o=0, observations=(), evaluation_points=()),
-                 dataset_from_json(
-                     '{"n_z": 1, "n_o": 1, "observations": [{"x": ["1", '
-                     '"2"], "p": ["1", "-1/2"]}]}')]
-        for ds in cases:
+    def test_text_is_the_one_line_dump_of_the_document(self, single_clause):
+        # the text is json.dumps of the whole document, as the CLI writes
+        # every other JSON document, also for empty row lists
+        for ds in _json_cases(single_clause):
             def vec(x):
                 return [str(v) for v in x]
             doc = {
@@ -494,7 +516,27 @@ class TestDatasetJson:
                     {"x": vec(e.x), "clause": e.clause, "t": e.t}
                     for e in ds.evaluation_points],
             }
-            assert dataset_to_json(ds) == json.dumps(doc, indent=2)
+            text = dataset_to_json(ds)
+            assert text == json.dumps(doc)
+            assert "\n" not in text
+
+    def test_compiled_text_digest(self):
+        # pins the exact epsilon, M, offsets and row order of compiled
+        # data: the named formulas and a small random ladder, in both
+        # offset modes, with and without the positive-price perturbation
+        rng = random.Random(26)
+        formulas = [cnf.parse_dimacs(text) for text in
+                    (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
+        formulas += [cnf.random_formula(rng, clauses + 2, clauses)
+                     for clauses in (1, 2, 3, 4)]
+        digest = hashlib.sha256()
+        for f in formulas:
+            for mode in reduction.OFFSET_MODES:
+                for eta in (0, F(1, 10 ** 6)):
+                    text = dataset_to_json(reduce_formula(f, mode, eta))
+                    digest.update(text.encode() + b"\n")
+        assert digest.hexdigest() == (
+            "8bd4866a6c328b4b02d9849dc8e76bfe2df0700451059534443967d9619e040d")
 
     def test_rationals_serialized_as_strings(self, single_clause):
         ds = reduce_formula(single_clause)
