@@ -40,12 +40,11 @@ variables is forced (README, "Acceptance status", records why this price
 layout was chosen).
 
 For a formula with L clauses the per-clause blocks are embedded into R^9:
-bundle t of clause l gains a level offset c_l in coordinate 9 and every
-price pays 1 for that coordinate, which makes each higher block strictly
-revealed preferred to all lower blocks and never conversely (also verified
+bundle t of clause l gains a level offset c_l in coordinate 9 (M*2^l in
+"paper" mode, 2M*l in "linear" mode) and every price pays 1 for that
+coordinate, which makes each higher block strictly revealed preferred to
+all lower blocks and never conversely (`_offsets` states why; also verified
 at build time, exactly, from the cheapest and dearest point of each level).
-Offsets are M*2^l in "paper" mode or l*C with a polynomially sized C in
-"linear" mode.
 """
 
 from __future__ import annotations
@@ -172,27 +171,25 @@ def base_points(count: int) -> BasePoints:
 
 
 def compute_epsilon_M(bp: BasePoints) -> GadgetConstants:
-    """Pick epsilon and M constructively and re-verify both gap conditions.
+    """Pick epsilon and M constructively, from one cross cost p_a . z_b
+    per ordered pair a != b and one price mass per base point.
 
-    epsilon = delta / (2 S) where delta is the smallest cross-cost excess
-    over 1 and S the largest price mass on (1,1); M is one more than the
-    largest epsilon-shifted cross cost.  Each cross cost p_a . z_b (a != b)
-    and each shift epsilon * mass_a is taken once; delta, M and the check
-    all read those tables.
+    epsilon = delta / (2 S), for delta the smallest cross-cost excess over
+    1 and S the largest price mass on (1,1); M is one more than the largest
+    epsilon-shifted cross cost.  If delta > 0 and every mass is positive,
+    each shift lies in (0, delta/2], so 1 < 1 + shift_a < p_a . z_b < M for
+    every pair: that is the one condition that can fail.
     """
     pairs = bp.pairs()
     cross = {(a, b): dot(bp.p[a], bp.z[b])
              for a in pairs for b in pairs if a != b}
     mass = {a: dot(bp.p[a], _ONES2) for a in pairs}
-    delta = min(cross.values()) - 1
+    a, b = min(cross, key=cross.get)
+    delta = cross[a, b] - 1
+    if delta <= 0 or min(mass.values()) <= 0:
+        raise ConstructionError(f"epsilon gap fails for {a} vs {b}")
     epsilon = delta / (2 * max(mass.values()))
-    shift = {a: epsilon * m for a, m in mass.items()}
-    M = 1 + max(c + shift[a] for (a, _), c in cross.items())
-    for (a, b), c in cross.items():
-        if not 1 < 1 + shift[a] < c:
-            raise ConstructionError(f"epsilon gap fails for {a} vs {b}")
-        if not c + shift[a] < M:
-            raise ConstructionError(f"M bound fails for {a} vs {b}")
+    M = 1 + max(c + epsilon * mass[src] for (src, _), c in cross.items())
     return GadgetConstants(epsilon, M)
 
 
@@ -245,36 +242,21 @@ def build_clause_gadget(clause: Clause, bp: BasePoints,
 _O_PARTS = sorted(set(_SLOT_O.values()))
 
 
-def _cost_range(ranges: dict, price: tuple, parts) -> tuple:
-    """(least, greatest) cost of `parts` at `price`, cached in `ranges`
-    per distinct price."""
-    if price not in ranges:
-        costs = [dot(price, part) for part in parts]
-        ranges[price] = (min(costs), max(costs))
-    return ranges[price]
+def _offsets(mode: str, count: int, gc: GadgetConstants) -> list[Fraction]:
+    """Level offsets at least 2M apart, which the construction's one cost
+    bound makes enough.
 
-
-def _offsets(mode: str, count: int, gc: GadgetConstants,
-             gadgets: list) -> list[Fraction]:
+    Every compiled z-part costs 1 to M - 1 under every compiled z-price
+    (own cost 1, and M = 1 + max(cross + shift)), and every o-cost is 0 or
+    M (o-parts are unit goods, o-prices 0 or M).  So a budget and the cost
+    of any level-free grid point differ by less than 2M.  Paper offsets
+    M*2^l are at least 4M - 2M = 2M apart; linear ones are 2M*l.  A
+    positive-prices eta turns the o-cost 0 into eta, which keeps the bound
+    for eta < M; `_verify_level_separation` checks every row exactly.
+    """
     if mode == "paper":
         return [gc.M * 2 ** l for l in range(1, count + 1)]
-    # C must beat |r_k . g - r_k . w_k| for every observation k and every
-    # level-free grid point g, including cross pairings of z- and o-parts
-    # from different clause blocks.  Over that product of z- and o-costs
-    # the largest gap is reached at the extremes, which are taken once per
-    # distinct z- and o-price (compiled data repeats its prices).
-    spread = Fraction(0)
-    z_parts = set(b[:Z_DIM] for g in gadgets for b in g.bundles.values())
-    z_range, o_range = {}, {}
-    for g in gadgets:
-        for k in OBSERVED_SLOTS:
-            price = g.prices[k]
-            budget = dot(price, g.bundles[k])
-            z_lo, z_hi = _cost_range(z_range, price[:Z_DIM], z_parts)
-            o_lo, o_hi = _cost_range(o_range, price[Z_DIM:], _O_PARTS)
-            spread = max(spread, z_hi + o_hi - budget, budget - z_lo - o_lo)
-    big = 1 + spread
-    return [l * big for l in range(1, count + 1)]
+    return [2 * gc.M * l for l in range(1, count + 1)]
 
 
 def _verify_level_separation(gadgets: list, offsets: list,
@@ -319,7 +301,11 @@ def _verify_level_separation(gadgets: list, offsets: list,
             levels[(pz, p_off)] = (lo, hi, list(accumulate(hi, max)),
                                    list(accumulate(reversed(lo), min))[::-1])
         lo, hi, below, above = levels[(pz, p_off)]
-        o_lo, o_hi = _cost_range(o_range, obs.p[Z_DIM:-1], _O_PARTS)
+        po = obs.p[Z_DIM:-1]
+        if po not in o_range:
+            costs = [dot(po, o) for o in _O_PARTS]
+            o_range[po] = (min(costs), max(costs))
+        o_lo, o_hi = o_range[po]
         n = len(lo)
         lower = min(max(obs.clause - 1, 0), n)
         higher = min(max(obs.clause, 0), n)
@@ -352,7 +338,7 @@ def reduce_formula(f: CnfFormula, offset_mode: str = "paper",
     bp = base_points(f.var_count)
     gc = compute_epsilon_M(bp)
     gadgets = [build_clause_gadget(c, bp, gc) for c in f.clauses]
-    offsets = _offsets(offset_mode, len(gadgets), gc, gadgets)
+    offsets = _offsets(offset_mode, len(gadgets), gc)
 
     observations = []
     evaluation_points = []

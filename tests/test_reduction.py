@@ -15,6 +15,8 @@ from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
                               build_clause_gadget, compute_epsilon_M,
                               dataset_from_json, dataset_to_json,
                               reduce_formula)
+from seprat.rpcore import TIE_MODES
+from seprat.septest import decide
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
                             exhaustive_level_separation)
 
@@ -305,7 +307,7 @@ class TestReduce:
             check(*args)
 
         monkeypatch.setattr(reduction, "_offsets",
-                            lambda mode, count, gc, gadgets: [gc.M] * count)
+                            lambda mode, count, gc: [gc.M] * count)
         monkeypatch.setattr(reduction, "_verify_level_separation", record)
         with pytest.raises(ConstructionError, match="level 1 observation "
                            "k=1 reaches into level 2"):
@@ -328,18 +330,20 @@ class TestReduce:
         cnf.random_formula(random.Random(6), 7, 5)],
         ids=["single-clause", "slot-conflict", "random-a", "random-b"])
     def test_linear_spread_matches_every_pair(self, formula):
+        # the bound _offsets rests on: over every pairing of a z-part with
+        # an o-part, a budget and a level-free point differ by under 2M
         f = cnf.parse_dimacs(formula) if isinstance(formula, str) else formula
         bp = base_points(f.var_count)
         gc = compute_epsilon_M(bp)
         gadgets = [build_clause_gadget(c, bp, gc) for c in f.clauses]
-        over, short = _pairing_gaps(gadgets)
-        offsets = reduction._offsets("linear", len(gadgets), gc, gadgets)
-        assert offsets == [l * (1 + max(over, short, 0))
-                           for l in range(1, len(gadgets) + 1)]
+        assert max(*_pairing_gaps(gadgets)) < 2 * gc.M
+        assert reduction._offsets("linear", len(gadgets), gc) == \
+            [2 * gc.M * l for l in range(1, len(gadgets) + 1)]
 
     def test_linear_spread_counts_the_cheapest_pairing(self):
         # hand-made blocks whose observed bundles cost far more than the
-        # cheapest pairing of parts, so the spread is a shortfall
+        # cheapest pairing of parts: their shortfall exceeds 2M, so 2M
+        # offsets do not separate them and the exact check says so
         o_price = (F(1, 4),) + (F(0),) * 5
         gadgets = [
             reduction.ClauseGadget(
@@ -350,8 +354,33 @@ class TestReduce:
         over, short = _pairing_gaps(gadgets)
         assert (over, short) == (F(1, 4), F(33, 4))
         gc = compute_epsilon_M(base_points(1))
-        assert reduction._offsets("linear", 2, gc, gadgets) == \
-            [1 + short, 2 * (1 + short)]
+        assert short > 2 * gc.M
+        offsets = reduction._offsets("linear", 2, gc)
+        observations = [
+            reduction.Observation(x=g.bundles[k] + (off,),
+                                  p=g.prices[k] + (F(1),), clause=l, k=k)
+            for l, (g, off) in enumerate(zip(gadgets, offsets), start=1)
+            for k in OBSERVED_SLOTS]
+        expected = separation_outcome(exhaustive_level_separation,
+                                      gadgets, offsets, observations)
+        assert expected == "level 1 observation k=1 reaches into level 2"
+        with pytest.raises(ConstructionError, match=expected):
+            reduction._verify_level_separation(gadgets, offsets,
+                                               observations)
+
+    def test_offset_modes_decide_identically(self):
+        # the offset value is free once it separates the levels: paper and
+        # linear compilations of a formula give the same decision
+        rng = random.Random(2727)
+        for _ in range(20):
+            L = rng.randint(1, 4)
+            f = cnf.random_formula(rng, rng.randint(3, L + 3), L)
+            for tie_mode in TIE_MODES:
+                paper, linear = (decide(reduce_formula(f, mode), tie_mode)
+                                 for mode in ("paper", "linear"))
+                assert (paper.status, paper.iterations, paper.u_order,
+                        paper.v_order) == (linear.status, linear.iterations,
+                                           linear.u_order, linear.v_order)
 
     def test_deterministic(self, single_clause):
         assert dataset_to_json(reduce_formula(single_clause)) == \
@@ -424,9 +453,11 @@ class TestLevelSeparation:
                 shuffled = offsets[:]
                 rng.shuffle(shuffled)
                 variants = [(offsets, obs)]
-                # one less per level puts linear mode's tightest
-                # observation exactly on its bound
-                tight = [c - l for l, c in enumerate(offsets, start=1)]
+                # offsets one spread apart: where the tightest pairing of
+                # a budget with a part meets a neighbouring level, it sits
+                # exactly on its bound
+                spread = max(*_pairing_gaps(gadgets))
+                tight = [l * spread for l in range(1, len(offsets) + 1)]
                 for moved in ([c * F(1, 2) for c in offsets],
                               [c / 1000 for c in offsets],
                               [offsets[0]] * len(offsets), shuffled, tight):
@@ -536,7 +567,7 @@ class TestDatasetJson:
                     text = dataset_to_json(reduce_formula(f, mode, eta))
                     digest.update(text.encode() + b"\n")
         assert digest.hexdigest() == (
-            "8bd4866a6c328b4b02d9849dc8e76bfe2df0700451059534443967d9619e040d")
+            "d24d131f5fb219ab6e4acfc9acb7aa86c3eac3655824240c9a5b70dca0ccd2a5")
 
     def test_rationals_serialized_as_strings(self, single_clause):
         ds = reduce_formula(single_clause)
