@@ -7,7 +7,11 @@ full-product mode crosses all projections regardless of level, and data
 without clause levels, or without bundles, always gets the full product.
 `Grid` is the one map from bundles and parts to indices: `locate` and
 `sources` find a bundle's point, `z_index` a z-part's index and `columns`
-the points of each o-part.
+the points of each o-part.  Bundles and prices are found by integer keys
+(`_key`), so no lookup hashes a `Fraction`.  `rows` records each
+observation's point and the indices of its distinct z- and o-price; the
+grid keeps the records of the dataset it was built from, so a decision
+hashes each bundle and each price once, in `build_grid`.
 """
 
 from __future__ import annotations
@@ -34,8 +38,40 @@ class RelationError(ValueError):
     """Dataset and grid do not match."""
 
 
+def _key(values) -> tuple:
+    """Integer key of a tuple of rationals: each coordinate as its
+    (numerator, denominator) pair, so equal tuples get equal keys and
+    no `Fraction` is hashed."""
+    return tuple([c.as_integer_ratio() for c in values])
+
+
+def _index(ids: dict, firsts: list, key, value) -> int:
+    """`key`'s index in `ids`, numbered by first appearance; `firsts`
+    keeps the `value` that came with each key first."""
+    i = ids.setdefault(key, len(ids))
+    if i == len(firsts):
+        firsts.append(value)
+    return i
+
+
+@dataclass(frozen=True, slots=True)
+class ObservationRows:
+    """Per observation of one dataset, in row order: its grid point and
+    the indices of its z-price and o-price among the distinct ones."""
+    points: list           # grid point per observation
+    z_price: list          # z_prices index per observation
+    o_price: list          # o_prices index per observation
+    z_prices: list         # distinct z-prices, first-appearance order
+    o_prices: list         # distinct o-prices, first-appearance order
+
+
 @dataclass
 class Grid:
+    """The grid's parts and points, and the maps between them.  Lookups
+    go by integer keys (`_key`); `z_index` and `o_index` map the parts
+    themselves, for callers that hold a part.  `rows` gives a dataset's
+    observation records, kept from `build_grid` for the dataset the grid
+    was built from."""
     z_parts: list          # deduplicated z-projections, first-appearance order
     o_parts: list          # deduplicated o-projections, first-appearance order
     points: list           # (z-part, o-part) tuples, deduplicated
@@ -46,21 +82,51 @@ class Grid:
     z_index: dict          # z-part -> z_parts index
     o_index: dict          # o-part -> o_parts index
     columns: list          # ascending point indices per o_parts index
-    mode: str = "per-level-union"
+    mode: str
+    z_keys: dict           # a z-part's `_key` -> z_parts index
+    o_keys: dict           # an o-part's `_key` -> o_parts index
+    dataset: Dataset = field(repr=False, compare=False)  # built from
+    own_rows: ObservationRows = field(default=None, repr=False,
+                                      compare=False)  # `dataset`'s rows
 
     def locate(self, x) -> int | None:
         """The point of bundle `x`, or None when it is off the grid."""
-        return self.point_index.get((self.z_index.get(tuple(x[:self.n_z])),
-                                     self.o_index.get(tuple(x[self.n_z:]))))
+        return self._point(_key(x))
+
+    def _point(self, key) -> int | None:
+        return self.point_index.get((self.z_keys.get(key[:self.n_z]),
+                                     self.o_keys.get(key[self.n_z:])))
 
     def sources(self, ds: Dataset) -> list:
         """Each observation's point, in row order; the error names the
         first observation whose bundle is off the grid."""
-        srcs = [self.locate(obs.x) for obs in ds.observations]
-        if None in srcs:
+        return self.rows(ds).points
+
+    def rows(self, ds: Dataset) -> ObservationRows:
+        """The records of `ds`: kept for the dataset the grid was built
+        from, read again for any other."""
+        if ds is self.dataset:
+            return self.own_rows
+        return self._read_rows(ds, [_key(obs.x) for obs in ds.observations])
+
+    def _read_rows(self, ds: Dataset, bundle_keys: list) -> ObservationRows:
+        """`ds`'s records from its observations' bundle keys, in row
+        order; the error names the first observation whose bundle is off
+        the grid."""
+        n_z = self.n_z
+        points = [self._point(key) for key in bundle_keys]
+        if None in points:
             raise RelationError(
-                f"observation {srcs.index(None)} bundle is not on the grid")
-        return srcs
+                f"observation {points.index(None)} bundle is not on the grid")
+        z_ids, o_ids, z_prices, o_prices = {}, {}, [], []
+        z_price, o_price = [], []
+        for obs in ds.observations:
+            key = _key(obs.p)
+            z_price.append(_index(z_ids, z_prices, key[:n_z],
+                                  tuple(obs.p[:n_z])))
+            o_price.append(_index(o_ids, o_prices, key[n_z:],
+                                  tuple(obs.p[n_z:])))
+        return ObservationRows(points, z_price, o_price, z_prices, o_prices)
 
 
 @dataclass(frozen=True)
@@ -76,35 +142,36 @@ class RevealedGraph:
 
 
 def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
-    """Build the evaluation grid from all bundles of the dataset."""
+    """Build the evaluation grid from all bundles of the dataset, and
+    record the dataset's rows (`Grid.rows`)."""
     if mode not in GRID_MODES:
         raise GridError(f"unknown grid mode {mode!r}")
-    sources = [(o.x, o.clause) for o in ds.observations] \
+    n_z = ds.n_z
+    bundles = [(o.x, o.clause) for o in ds.observations] \
         + [(e.x, e.clause) for e in ds.evaluation_points]
+    keys = [_key(x) for x, _ in bundles]
 
-    def split(x):
-        return tuple(x[:ds.n_z]), tuple(x[ds.n_z:])
-
-    if mode == "per-level-union" and sources \
-            and all(lvl is not None for _, lvl in sources):
+    if mode == "per-level-union" and bundles \
+            and all(lvl is not None for _, lvl in bundles):
         levels: dict = {}
-        for x, lvl in sources:
-            levels.setdefault(lvl, []).append(split(x))
+        for r, (_, lvl) in enumerate(bundles):
+            levels.setdefault(lvl, []).append(r)
         groups = [levels[k] for k in sorted(levels)]
     else:
         mode = "full-product"
-        groups = [[split(x) for x, _ in sources]]
+        groups = [range(len(bundles))]
 
-    # a part's index and a point's index are their first appearance
-    z_index, o_index, point_index = {}, {}, {}
+    # a part's index and a point's index are their first appearance; a
+    # part is kept from the first bundle that holds it
+    z_keys, o_keys, point_index, z_parts, o_parts = {}, {}, {}, [], []
     for group in groups:
-        group_z = dict.fromkeys(z_index.setdefault(z, len(z_index))
-                                for z, _ in group)
-        group_o = dict.fromkeys(o_index.setdefault(o, len(o_index))
-                                for _, o in group)
+        group_z, group_o = {}, {}
+        for r in group:
+            x, key = bundles[r][0], keys[r]
+            group_z[_index(z_keys, z_parts, key[:n_z], tuple(x[:n_z]))] = None
+            group_o[_index(o_keys, o_parts, key[n_z:], tuple(x[n_z:]))] = None
         for cell in itertools.product(group_z, group_o):
             point_index.setdefault(cell, len(point_index))
-    z_parts, o_parts = list(z_index), list(o_index)
     points = [(z_parts[zi], o_parts[oi]) for zi, oi in point_index]
     pt_z = [zi for zi, _ in point_index]
     pt_o = [oi for _, oi in point_index]
@@ -114,8 +181,12 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
 
     log.debug("grid: %d z-parts, %d o-parts, %d points (%s)",
               len(z_parts), len(o_parts), len(points), mode)
-    return Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, ds.n_z,
-                z_index, o_index, columns, mode)
+    grid = Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, n_z,
+                {z: i for i, z in enumerate(z_parts)},
+                {o: i for i, o in enumerate(o_parts)}, columns, mode,
+                z_keys, o_keys, ds)
+    grid.own_rows = grid._read_rows(ds, keys[:len(ds.observations)])
+    return grid
 
 
 def revealed_relation(ds: Dataset, grid: Grid,

@@ -28,6 +28,9 @@ order.  The arena runs on integers alone: the grid's z- and o-parts share
 one common denominator, each distinct price has its own, and every cost
 is an integer inner product, taken once per distinct price (compiled
 data repeats its prices across levels, so most observations need none).
+The grid's rows (`Grid.rows`) give each observation's point and the
+indices of its distinct z- and o-price, so after the grid is built no
+step of a decision, the witness check included, hashes a `Fraction`.
 
 The SAT encoding has one order variable per z-pair that can gate a
 cycle (`_relevant_pairs`), true when the lower index is above, and two
@@ -121,17 +124,18 @@ class _Arena:
     o-part its own dominates.  All grid parts are scaled once, to
     integers over one common denominator D.  Costs come from one z-cost
     vector per distinct z-price and one o-cost vector per distinct
-    o-price (`_cost_vector`), so an observation whose price repeats an
-    earlier one's takes no new inner product.  Each price is scaled over
-    its least common denominator, d_z or d_o, so a z-cost vector is on
-    the d_z * D scale; a cost compared with a budget is a z-cost times
-    d_o plus an o-cost times d_z, so no cost or comparison touches a
-    `Fraction`.  Dominance between parts is tested on the scaled parts
-    (`_dominated_pairs`).  Every edge of the combined relation, under any
-    u-order, runs along that graph (2-edges stay inside one column), so
-    its strongly connected components hold every cycle.  `comp` labels
-    each point by its column's component; `strongly_connected_components`
-    numbers them in reverse topological order of the condensation.
+    o-price of the grid's rows (`_cost_vector`, `Grid.rows`), so an
+    observation whose price repeats an earlier one's takes no new inner
+    product.  Each price is scaled over its least common denominator,
+    d_z or d_o, so a z-cost vector is on the d_z * D scale; a cost
+    compared with a budget is a z-cost times d_o plus an o-cost times
+    d_z, so no cost or comparison touches a `Fraction`.  Dominance
+    between parts is tested on the scaled parts (`_dominated_pairs`).
+    Every edge of the combined relation, under any u-order, runs along
+    that graph (2-edges stay inside one column), so its strongly
+    connected components hold every cycle.  `comp` labels each point by
+    its column's component; `strongly_connected_components` numbers them
+    in reverse topological order of the condensation.
 
     Point edges are built only inside components.  Dominance edges come
     from each dominating pair of columns in one component: each point of
@@ -173,25 +177,24 @@ class _Arena:
         for zs in self.col_zs:
             col_set.append(z_sets.setdefault(zs, len(z_sets)))
         # compiled data repeats its prices, so each cost vector (and each
-        # z-cost's least value per z-part set) is taken once per price,
-        # over the price's own denominator: d_z for a z-cost, d_o for an
-        # o-cost, so every cost below is on the d_z * d_o * D scale
-        z_costs, o_costs = {}, {}
-        revealed = []
-        for obs, src in zip(ds.observations, grid.sources(ds)):
+        # z-cost's least value per z-part set) is taken once per distinct
+        # price of the grid's rows, over the price's own denominator: d_z
+        # for a z-cost, d_o for an o-cost, so every cost below is on the
+        # d_z * d_o * D scale
+        rows = grid.rows(ds)
+        for obs in ds.observations:
             if len(obs.p) != len(obs.x):
                 raise DimensionMismatch(
                     f"dimension {len(obs.p)} vs {len(obs.x)}")
-            pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
-            zc = z_costs.get(pz)
-            if zc is None:
-                z_cost, d_z = _cost_vector(pz, z_parts)
-                zc = z_costs[pz] = z_cost, d_z, [min(z_cost[z] for z in zs)
-                                                 for zs in z_sets]
-            oc = o_costs.get(po)
-            if oc is None:
-                oc = o_costs[po] = _cost_vector(po, o_parts)
-            (z_cost, d_z, z_least), (o_cost, d_o) = zc, oc
+        z_costs = []
+        for pz in rows.z_prices:
+            z_cost, d_z = _cost_vector(pz, z_parts)
+            z_costs.append((z_cost, d_z, [min(z_cost[z] for z in zs)
+                                          for zs in z_sets]))
+        o_costs = [_cost_vector(po, o_parts) for po in rows.o_prices]
+        revealed = []
+        for src, zi, oi in zip(rows.points, rows.z_price, rows.o_price):
+            (z_cost, d_z, z_least), (o_cost, d_o) = z_costs[zi], o_costs[oi]
             budget = z_cost[pt_z[src]] * d_o + o_cost[pt_o[src]] * d_z
             slack = [budget - least * d_o for least in z_least]
             reach = between[pt_o[src]]
@@ -381,16 +384,17 @@ def _cegar_search(arena: _Arena, extra_units=(),
     when every admissible order leaves a cycle.
 
     The probe, brute force's first order, is accepted with no iterations
-    when its graph is acyclic; otherwise the SAT search runs as if it had
-    not.  It has one order variable per relevant pair (`_relevant_pairs`,
-    `_order_var_map`), and a model's `above` relation is read off each
-    variable's sign: an order that agrees with a model on those pairs has
-    a cycle exactly when the model's own lowest-index linear extension
-    has one.  Every clause it adds negates above-literals (`_above`).
-    When a model's `above` relation is itself cyclic (a cycle through
-    pairs that close no triangle of `_order_instance`), that cycle's
-    literals are blocked as one clause, a lazy order cut that does not
-    count as an iteration.
+    when its graph is acyclic.  Otherwise a cyclic frozen graph is
+    rejected with no iterations, and the SAT search runs as if the probe
+    had not.  It has one order variable per relevant pair
+    (`_relevant_pairs`, `_order_var_map`), and a model's `above` relation
+    is read off each variable's sign: an order that agrees with a model
+    on those pairs has a cycle exactly when the model's own lowest-index
+    linear extension has one.  Every clause it adds negates
+    above-literals (`_above`).  When a model's `above` relation is itself
+    cyclic (a cycle through pairs that close no triangle of
+    `_order_instance`), that cycle's literals are blocked as one clause,
+    a lazy order cut that does not count as an iteration.
 
     The arena's graph holds only edges inside its components, which is
     where every cycle lies.  Each blocking clause comes from the cycle
@@ -405,12 +409,16 @@ def _cegar_search(arena: _Arena, extra_units=(),
     nz = arena.nz
     units = list(arena.z_dom_pairs) + list(extra_units)
     probe = _total_order(nz, units)
-    if probe is None or topological_order(frozen) is None:
+    if probe is None:
         return None, None, 0
     perm, rank = probe
     v_order = arena.v_order(arena.adjacency_under(rank))
     if v_order is not None:
         return tuple(perm), tuple(v_order), 0
+    # an acyclic probe graph holds the frozen graph, so only a cyclic one
+    # leaves the frozen graph to check
+    if topological_order(frozen) is None:
+        return None, None, 0
     var = _order_var_map(_relevant_pairs(arena, units))
     solver = satcore.Solver(_order_instance(var, units), conflict_limit)
     iterations = 0
@@ -540,26 +548,32 @@ def decide(ds: Dataset, tie_mode: str = "weak",
 
 # -- witness verification ----------------------------------------------------
 
-def _scaled(vectors: list) -> list:
-    """`vectors` as integer tuples over one common denominator."""
+def _scaled(vectors: list) -> tuple:
+    """`vectors` as integer tuples over one common denominator, and that
+    denominator."""
     den = math.lcm(*(c.denominator for v in vectors for c in v))
     return [tuple(c.numerator * (den // c.denominator) for c in v)
-            for v in vectors]
+            for v in vectors], den
 
 
 def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                    tie_mode: str = "weak") -> WitnessCheck:
     """Full check of both orders against every constraint family, on
     integers and apart from the deciders' code: grid parts share one
-    denominator (scaled apart, z- and o-parts would skew each cost sum)
-    and each price has its own.  1-edges take one pass per observation;
-    2-edges hold when v-ranks rise along each o-column sorted by u-rank,
-    so a column's prefix maximum of v-rank is its last entry, and each
-    dominance edge needs one bisection into the dominating column."""
+    denominator (scaled apart, z- and o-parts would skew each cost sum).
+    1-edges take one z-cost vector per distinct z-price and one o-cost
+    vector per distinct o-price of the grid's rows (`Grid.rows`), each
+    over its price's own denominator; an observation compares costs on
+    the product of its two denominators, each vector rescaled once per
+    distinct pair of price and the other denominator, and scans the
+    points its chosen bundle's v-rank puts above it.  2-edges hold when
+    v-ranks rise along each o-column sorted by u-rank, so a column's
+    prefix maximum of v-rank is its last entry, and each dominance edge
+    needs one bisection into the dominating column."""
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
     nz, npts = len(grid.z_parts), len(grid.points)
-    parts = _scaled(grid.z_parts + grid.o_parts)
+    parts, _ = _scaled(grid.z_parts + grid.o_parts)
     zs, os_ = parts[:nz], parts[nz:]
     if len({len(v) for v in zs}) > 1 or len({len(v) for v in os_}) > 1:
         raise DimensionMismatch("grid parts differ in length")
@@ -582,12 +596,29 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                            f"({a}, {b})")
 
     pt_z, pt_o = grid.pt_z, grid.pt_o
-    for k, (obs, src) in enumerate(zip(ds.observations, grid.sources(ds))):
+    rows = grid.rows(ds)
+    for obs in ds.observations:
         if len(obs.p) != len(obs.x):
             raise DimensionMismatch(f"dimension {len(obs.p)} vs {len(obs.x)}")
-        p = _scaled([obs.p])[0]
-        z_cost = [sum(map(mul, p[:ds.n_z], z)) for z in zs]
-        o_cost = [sum(map(mul, p[ds.n_z:], o)) for o in os_]
+
+    def costs(price, vectors):
+        (p,), den = _scaled([price])
+        return [sum(map(mul, p, v)) for v in vectors], den
+
+    def rescaled(cache, table, i, den):
+        """table[i]'s cost vector times `den`, taken once per (i, den)."""
+        vector = cache.get((i, den))
+        if vector is None:
+            vector = cache[i, den] = [c * den for c in table[i][0]]
+        return vector
+
+    z_costs = [costs(pz, zs) for pz in rows.z_prices]
+    o_costs = [costs(po, os_) for po in rows.o_prices]
+    z_rescaled, o_rescaled = {}, {}
+    for k, (src, zi, oi) in enumerate(zip(rows.points, rows.z_price,
+                                          rows.o_price)):
+        z_cost = rescaled(z_rescaled, z_costs, zi, o_costs[oi][1])
+        o_cost = rescaled(o_rescaled, o_costs, oi, z_costs[zi][1])
         budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
         above = witness.v_order[:vrank[src]]
         least = min([z_cost[pt_z[j]] + o_cost[pt_o[j]] for j in above],

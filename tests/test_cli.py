@@ -1,7 +1,9 @@
 import argparse
+import hashlib
 import json
 import os
 import pathlib
+import random
 import re
 import shlex
 import subprocess
@@ -13,7 +15,7 @@ import pytest
 
 from seprat import __version__, cli, cnf, reduction, satcore, septest
 from seprat.reduction import dataset_from_json
-from tests.conftest import ALL_SIGN_PATTERNS, SINGLE_CLAUSE
+from tests.conftest import ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT
 
 
 @pytest.fixture
@@ -116,6 +118,29 @@ class TestTest:
                            "--budget", "0")
         assert code == 4 and "budget" in err
 
+
+    def test_decision_digest(self, capsys, tmp_path):
+        # pins the status, iteration count and witness of strict-tie
+        # decisions on the benchmark's compiled corpus: the named formulas
+        # and the L = 3..6 ladder drawn from Random(2014), both offset modes
+        rng = random.Random(2014)
+        formulas = [cnf.parse_dimacs(text) for text in
+                    (SINGLE_CLAUSE, SLOT_CONFLICT, ALL_SIGN_PATTERNS)]
+        formulas += [cnf.random_formula(rng, rng.randint(3, clauses + 2),
+                                        clauses)
+                     for clauses in (3, 3, 4, 4, 5, 5, 6, 6)]
+        digest = hashlib.sha256()
+        path = tmp_path / "ds.json"
+        for f in formulas:
+            for mode in reduction.OFFSET_MODES:
+                path.write_text(reduction.dataset_to_json(
+                    reduction.reduce_formula(f, mode)))
+                code, out, _ = run(capsys, "test", str(path),
+                                   "--tie-mode", "strict")
+                assert code == 0
+                digest.update(out.encode())
+        assert digest.hexdigest() == (
+            "ad56992cf981b397762073fa24b25fb758f0a7493b029f4ee8376f310ec9b96f")
 
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, cnf_file):
     dataset = tmp_path / "ds.json"

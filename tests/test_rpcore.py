@@ -8,8 +8,8 @@ from seprat import cnf
 from seprat.numerics import dot
 from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
-from seprat.rpcore import (GridError, RelationError, build_grid,
-                           find_cycle_in_adjacency, garp_check,
+from seprat.rpcore import (GRID_MODES, GridError, RelationError,
+                           build_grid, find_cycle_in_adjacency, garp_check,
                            revealed_relation, strongly_connected_components,
                            to_dot, topological_order)
 from tests.conftest import SINGLE_CLAUSE, random_foreign_dataset
@@ -103,6 +103,24 @@ def assert_grid_maps(ds, grid):
         assert grid.z_parts[grid.pt_z[j]] == row.x[:ds.n_z]
         assert grid.o_parts[grid.pt_o[j]] == row.x[ds.n_z:]
     assert grid.sources(ds) == [grid.locate(o.x) for o in ds.observations]
+    # the rows recorded at build time: each observation's point and the
+    # distinct prices its price splits into, in first-appearance order
+    rows = grid.rows(ds)
+    assert rows.points == grid.sources(ds)
+    for obs, j, zi, oi in zip(ds.observations, rows.points, rows.z_price,
+                              rows.o_price):
+        assert j == grid.locate(obs.x)
+        assert rows.z_prices[zi] == obs.p[:ds.n_z]
+        assert rows.o_prices[oi] == obs.p[ds.n_z:]
+    assert rows.z_prices == list(dict.fromkeys(
+        o.p[:ds.n_z] for o in ds.observations))
+    assert rows.o_prices == list(dict.fromkeys(
+        o.p[ds.n_z:] for o in ds.observations))
+    # an equal but distinct dataset is read again, to the same rows
+    copy = dataclasses.replace(ds)
+    assert copy is not ds
+    assert grid.sources(copy) == grid.sources(ds)
+    assert grid.rows(copy) == rows
     assert len(grid.columns) == len(grid.o_parts)
     for o, col in enumerate(grid.columns):
         assert col == [j for j, oj in enumerate(grid.pt_o) if oj == o]
@@ -129,13 +147,19 @@ class TestGridMaps:
             assert grid.mode == "per-level-union"
             assert_grid_maps(ds, grid)
 
+    def test_compiled_full_product_grid(self):
+        for text in (SINGLE_CLAUSE, TWO_LEVELS):
+            ds = reduce_formula(cnf.parse_dimacs(text))
+            assert_grid_maps(ds, build_grid(ds, "full-product"))
+
     def test_foreign_full_product_grid(self):
         rng = random.Random(11)
         for _ in range(30):
             ds = random_foreign_dataset(rng)
-            grid = build_grid(ds)
-            assert grid.mode == "full-product"
-            assert_grid_maps(ds, grid)
+            for mode in GRID_MODES:
+                grid = build_grid(ds, mode)
+                assert grid.mode == "full-product"
+                assert_grid_maps(ds, grid)
 
     def test_parts_of_two_levels_make_no_point(self):
         # both parts are on the per-level grid, but their cell is not

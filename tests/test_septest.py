@@ -41,8 +41,9 @@ def hostile_variants(ds):
     """`ds` with its first observation moved off the grid, then with its
     first price shortened, then with its last price shortened, each with
     the error it must raise.  On compiled data with more than one clause
-    the last observation's z-price repeats an earlier one's, so the arena
-    has that price's z-costs cached."""
+    the last observation's z-price repeats an earlier one's, so the
+    shortened price keeps that z-price class: the dimension check must
+    look at every row, not only at each distinct price."""
     first, last = ds.observations[0], ds.observations[-1]
     for changed, error in (
             (dataclasses.replace(first, x=(F(99),) * len(first.x)),
@@ -622,6 +623,31 @@ class TestIntegerChecker:
             witness.u_order, witness.v_order[1:] + witness.v_order[:1])
         assert not verify_witness(ds, grid, broken, "strict").valid
 
+    @pytest.mark.parametrize("clauses", [3, 4])
+    def test_each_distinct_price_is_costed_once(self, monkeypatch, clauses):
+        # one scaling of the grid parts, then one cost vector per distinct
+        # z-price and per distinct o-price, however many observations
+        # repeat them
+        calls = []
+        scaled = septest._scaled
+
+        def counting(vectors):
+            calls.append(None)
+            return scaled(vectors)
+        monkeypatch.setattr(septest, "_scaled", counting)
+        formula = cnf.random_formula(random.Random(clauses), clauses + 2,
+                                     clauses)
+        for mode in OFFSET_MODES:
+            ds = reduce_formula(formula, mode)
+            grid = build_grid(ds)
+            witness = decide_cegar(ds, grid, "strict").witness
+            z_prices = {o.p[:ds.n_z] for o in ds.observations}
+            o_prices = {o.p[ds.n_z:] for o in ds.observations}
+            assert len(z_prices) + len(o_prices) < len(ds.observations)
+            calls.clear()
+            assert verify_witness(ds, grid, witness, "strict").valid
+            assert len(calls) == 1 + len(z_prices) + len(o_prices), mode
+
     def test_hostile_inputs_raise(self, single_clause):
         for ds in (reduce_formula(single_clause),
                    reduce_formula(cnf.parse_dimacs(SLOT_CONFLICT))):
@@ -899,6 +925,38 @@ def test_arena_compares_no_fractions(monkeypatch):
     for ds, grid in zip(datasets, grids):
         for tie in ("strict", "weak"):
             _Arena(ds, grid, tie)
+
+
+def test_no_fraction_is_hashed_after_the_grid(monkeypatch):
+    # build_grid keys every bundle and price once and records each
+    # observation's point and price classes; the arena, the search and the
+    # checker read those records and hash no Fraction
+    rng = random.Random(31)
+    formulas = [cnf.parse_dimacs(SINGLE_CLAUSE),
+                cnf.parse_dimacs(SLOT_CONFLICT), cnf.random_formula(rng, 5, 3)]
+    datasets = [reduce_formula(f, mode) for f in formulas
+                for mode in OFFSET_MODES]
+    datasets += [random_foreign_dataset(rng) for _ in range(20)]
+    calls = []
+    fraction_hash = Fraction.__hash__
+
+    def counted(self):
+        calls.append(self)
+        return fraction_hash(self)
+    monkeypatch.setattr(Fraction, "__hash__", counted)
+    grids = [build_grid(ds) for ds in datasets]
+    assert calls  # the grid's public part maps are keyed by Fractions
+    calls.clear()
+    witnesses = 0
+    for ds, grid in zip(datasets, grids):
+        for tie in ("strict", "weak"):
+            u_order, v_order, _ = septest._cegar_search(_Arena(ds, grid, tie))
+            if u_order is not None:
+                witnesses += 1
+                witness = SeparabilityWitness(u_order, v_order)
+                assert verify_witness(ds, grid, witness, tie).valid
+    assert witnesses >= 20
+    assert calls == []
 
 
 def test_envelope_components_hold_every_cycle():
