@@ -11,7 +11,9 @@ the points of each o-part.  Bundles and prices are found by integer keys
 (`_key`), so no lookup hashes a `Fraction`.  `rows` records each
 observation's point and the indices of its distinct z- and o-price; the
 grid keeps the records of the dataset it was built from, so a decision
-hashes each bundle and each price once, in `build_grid`.
+keys each bundle and each price once, in `build_grid`.  `z_index` and
+`o_index`, the maps keyed by the parts themselves, are built on first
+use; no decision reads them, so a decision hashes no `Fraction` at all.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
+from functools import cached_property
 from heapq import heappop, heappush
 
 from .numerics import dot
@@ -69,9 +72,10 @@ class ObservationRows:
 class Grid:
     """The grid's parts and points, and the maps between them.  Lookups
     go by integer keys (`_key`); `z_index` and `o_index` map the parts
-    themselves, for callers that hold a part.  `rows` gives a dataset's
-    observation records, kept from `build_grid` for the dataset the grid
-    was built from."""
+    themselves, for callers that hold a part, and are built on first use
+    (hashing every part's `Fraction`s, which no decision needs).  `rows`
+    gives a dataset's observation records, kept from `build_grid` for the
+    dataset the grid was built from."""
     z_parts: list          # deduplicated z-projections, first-appearance order
     o_parts: list          # deduplicated o-projections, first-appearance order
     points: list           # (z-part, o-part) tuples, deduplicated
@@ -79,8 +83,6 @@ class Grid:
     pt_o: list             # o_parts index per point
     point_index: dict      # (z_parts index, o_parts index) -> point index
     n_z: int               # the z-goods lead every bundle
-    z_index: dict          # z-part -> z_parts index
-    o_index: dict          # o-part -> o_parts index
     columns: list          # ascending point indices per o_parts index
     mode: str
     z_keys: dict           # a z-part's `_key` -> z_parts index
@@ -88,6 +90,16 @@ class Grid:
     dataset: Dataset = field(repr=False, compare=False)  # built from
     own_rows: ObservationRows = field(default=None, repr=False,
                                       compare=False)  # `dataset`'s rows
+
+    @cached_property
+    def z_index(self) -> dict:
+        """z-part -> z_parts index, built on first use."""
+        return {z: i for i, z in enumerate(self.z_parts)}
+
+    @cached_property
+    def o_index(self) -> dict:
+        """o-part -> o_parts index, built on first use."""
+        return {o: i for i, o in enumerate(self.o_parts)}
 
     def locate(self, x) -> int | None:
         """The point of bundle `x`, or None when it is off the grid."""
@@ -182,9 +194,7 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
     log.debug("grid: %d z-parts, %d o-parts, %d points (%s)",
               len(z_parts), len(o_parts), len(points), mode)
     grid = Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, n_z,
-                {z: i for i, z in enumerate(z_parts)},
-                {o: i for i, o in enumerate(o_parts)}, columns, mode,
-                z_keys, o_keys, ds)
+                columns, mode, z_keys, o_keys, ds)
     grid.own_rows = grid._read_rows(ds, keys[:len(ds.observations)])
     return grid
 

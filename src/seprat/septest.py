@@ -29,8 +29,15 @@ one common denominator, each distinct price has its own, and every cost
 is an integer inner product, taken once per distinct price (compiled
 data repeats its prices across levels, so most observations need none).
 The grid's rows (`Grid.rows`) give each observation's point and the
-indices of its distinct z- and o-price, so after the grid is built no
-step of a decision, the witness check included, hashes a `Fraction`.
+indices of its distinct z- and o-price, so no step of a decision, the
+grid and the witness check included, hashes a `Fraction`.
+
+Neither the arena nor the checker compares all pairs of parts: each
+finds dominance between parts from sorted coordinates, as bitsets, by a
+method of its own (`_dominated_pairs`, `_dominators`).  Nor does the
+checker cost every point above each observation's chosen bundle: it
+walks only the o-columns that hold such a point and whose cheapest
+possible point could undercut the budget.
 
 The SAT encoding has one order variable per z-pair that can gate a
 cycle (`_relevant_pairs`), true when the lower index is above, and two
@@ -43,10 +50,10 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from operator import ge, mul
+from operator import mul
 
 from . import cnf as cnf_mod
 from . import satcore
@@ -130,7 +137,8 @@ class _Arena:
     d_z or d_o, so a z-cost vector is on the d_z * D scale; a cost
     compared with a budget is a z-cost times d_o plus an o-cost times
     d_z, so no cost or comparison touches a `Fraction`.  Dominance
-    between parts is tested on the scaled parts (`_dominated_pairs`).
+    between parts is found on the scaled parts from sorted coordinates
+    (`_dominated_pairs`), with no pairwise comparison.
     Every edge of the combined relation, under any u-order, runs along
     that graph (2-edges stay inside one column), so its strongly
     connected components hold every cycle.  `comp` labels each point by
@@ -269,8 +277,9 @@ class _Arena:
 def _lcd_scaled(values) -> tuple:
     """`values` as integers over their least common denominator, and
     that denominator."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
+    ratios = [v.as_integer_ratio() for v in values]
+    den = math.lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
 
 
 def _lcd_scaled_parts(parts: list) -> list:
@@ -290,10 +299,33 @@ def _cost_vector(price, parts: list) -> tuple:
 
 def _dominated_pairs(parts: list) -> list:
     """Index pairs (a, b), a != b, with parts[a] >= parts[b] in every
-    coordinate of the integer `parts`: grid parts are distinct, so
-    parts[a] dominates parts[b]."""
-    return [(a, b) for a, pa in enumerate(parts)
-            for b, pb in enumerate(parts) if a != b and all(map(ge, pa, pb))]
+    coordinate of the integer `parts`, in lexicographic order: grid parts
+    are distinct, so parts[a] dominates parts[b].
+
+    Dominance is found from sorted coordinates, not by comparing pairs.
+    Per coordinate, one sort of its distinct values and a running union
+    give each value the bitset of the parts at or below it there; a
+    part's bitset of the parts it dominates is the AND of its values'
+    bitsets over all coordinates.  The cost is d sorts, O(d * n) big-int
+    operations and one step per pair found."""
+    n = len(parts)
+    below = [(1 << n) - 1] * n
+    for coord in zip(*parts):
+        bits = {}
+        for a, c in enumerate(coord):
+            bits[c] = bits.get(c, 0) | 1 << a
+        seen = 0
+        for c in sorted(bits):
+            seen = bits[c] = seen | bits[c]
+        below = [mask & bits[c] for mask, c in zip(below, coord)]
+    pairs = []
+    for a, mask in enumerate(below):
+        mask &= ~(1 << a)
+        while mask:
+            low = mask & -mask
+            pairs.append((a, low.bit_length() - 1))
+            mask ^= low
+    return pairs
 
 
 def decide_bruteforce(ds: Dataset, grid: Grid,
@@ -551,9 +583,9 @@ def decide(ds: Dataset, tie_mode: str = "weak",
 def _scaled(vectors: list) -> tuple:
     """`vectors` as integer tuples over one common denominator, and that
     denominator."""
-    den = math.lcm(*(c.denominator for v in vectors for c in v))
-    return [tuple(c.numerator * (den // c.denominator) for c in v)
-            for v in vectors], den
+    ratios = [[c.as_integer_ratio() for c in v] for v in vectors]
+    den = math.lcm(*[d for r in ratios for _, d in r])
+    return [tuple([n * (den // d) for n, d in r]) for r in ratios], den
 
 
 def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
@@ -561,15 +593,26 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     """Full check of both orders against every constraint family, on
     integers and apart from the deciders' code: grid parts share one
     denominator (scaled apart, z- and o-parts would skew each cost sum).
-    1-edges take one z-cost vector per distinct z-price and one o-cost
-    vector per distinct o-price of the grid's rows (`Grid.rows`), each
-    over its price's own denominator; an observation compares costs on
-    the product of its two denominators, each vector rescaled once per
-    distinct pair of price and the other denominator, and scans the
-    points its chosen bundle's v-rank puts above it.  2-edges hold when
-    v-ranks rise along each o-column sorted by u-rank, so a column's
-    prefix maximum of v-rank is its last entry, and each dominance edge
-    needs one bisection into the dominating column."""
+    The first failure is reported, in the order of the families below.
+
+    Dominance between parts comes from per-part bitsets of dominators,
+    built from sorted coordinates (`_dominators`), not from pairwise
+    comparisons.  1-edges take one z-cost vector per distinct z-price
+    and one o-cost vector per distinct o-price of the grid's rows
+    (`Grid.rows`), each over its price's own denominator; an observation
+    compares costs on the product of its two denominators, each vector
+    rescaled once per distinct pair of price and the other denominator.
+    Each o-column's points are sorted by v-rank once.  An observation
+    skips a column whose best point ranks below its chosen bundle, and a
+    column whose o-cost plus the price's least z-cost (a bound on every
+    point of the column, negative coordinates included) is not below
+    the least cost found so far, which starts at budget + 1; in any
+    other column it walks the points ranked above the bundle.  2-edges
+    hold when v-ranks rise along each o-column sorted by u-rank, so a
+    column's prefix maximum of v-rank is its last entry.  Each dominance
+    edge then needs one bisection into the dominating column, and a
+    dominating column whose last point ranks above the dominated
+    column's first needs none."""
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
     nz, npts = len(grid.z_parts), len(grid.points)
@@ -588,12 +631,20 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     for pos, j in enumerate(witness.v_order):
         vrank[j] = pos
 
-    for a, za in enumerate(zs):  # parts are distinct: >= means dominates
-        for b, zb in enumerate(zs):
-            if urank[a] > urank[b] and all(map(ge, za, zb)):
-                return WitnessCheck(
-                    False, f"u-order inverts the dominated z-part pair "
-                           f"({a}, {b})")
+    # a z-part's dominators that the u-order puts below it; walking the
+    # u-order keeps the set already placed above, and the first inverted
+    # pair (a, b) in index order is the one named
+    z_up = _dominators(zs)
+    placed, inverted = 0, []
+    for b in witness.u_order:
+        late = z_up[b] & ~placed & ~(1 << b)
+        if late:
+            inverted.append(((late & -late).bit_length() - 1, b))
+        placed |= 1 << b
+    if inverted:
+        a, b = min(inverted)
+        return WitnessCheck(
+            False, f"u-order inverts the dominated z-part pair ({a}, {b})")
 
     pt_z, pt_o = grid.pt_z, grid.pt_o
     rows = grid.rows(ds)
@@ -612,7 +663,14 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
             vector = cache[i, den] = [c * den for c in table[i][0]]
         return vector
 
+    # each o-column's points best first, and the columns in the order of
+    # their best points: those with a point above an observation's chosen
+    # bundle come first
+    by_v = [sorted(col, key=vrank.__getitem__) for col in grid.columns]
+    tops = sorted(range(len(by_v)), key=lambda o: vrank[by_v[o][0]])
+    top_ranks = [vrank[by_v[o][0]] for o in tops]
     z_costs = [costs(pz, zs) for pz in rows.z_prices]
+    z_least = [min(z_cost) for z_cost, _ in z_costs]
     o_costs = [costs(po, os_) for po in rows.o_prices]
     z_rescaled, o_rescaled = {}, {}
     for k, (src, zi, oi) in enumerate(zip(rows.points, rows.z_price,
@@ -620,9 +678,21 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
         z_cost = rescaled(z_rescaled, z_costs, zi, o_costs[oi][1])
         o_cost = rescaled(o_rescaled, o_costs, oi, z_costs[zi][1])
         budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
-        above = witness.v_order[:vrank[src]]
-        least = min([z_cost[pt_z[j]] + o_cost[pt_o[j]] for j in above],
-                    default=budget + 1)
+        rank = vrank[src]
+        # no point of a column costs less than its o-cost plus the price's
+        # least z-cost, so a column whose bound is not below the least
+        # cost found so far cannot lower it
+        bound = z_least[zi] * o_costs[oi][1]
+        least = budget + 1
+        for o in tops[:bisect_left(top_ranks, rank)]:
+            if o_cost[o] + bound >= least:
+                continue
+            for j in by_v[o]:
+                if vrank[j] >= rank:
+                    break
+                cost = z_cost[pt_z[j]] + o_cost[o]
+                if cost < least:
+                    least = cost
         if least < budget or (tie_mode == "weak" and least == budget):
             return WitnessCheck(
                 False, f"v-order puts an affordable point above the chosen "
@@ -637,17 +707,61 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                     False, f"v-order violates the order edge between "
                            f"z-parts {pt_z[s]} and {pt_z[d]}")
     keys = [[urank[pt_z[j]] for j in col] for col in columns]
-    for a, oa in enumerate(os_):
-        for b, ob in enumerate(os_):
-            if a == b or not all(map(ge, oa, ob)):
-                continue
-            for j in columns[b]:
-                pos = bisect_right(keys[a], urank[pt_z[j]])
-                if pos and vrank[columns[a][pos - 1]] > vrank[j]:
-                    return WitnessCheck(
-                        False, f"v-order violates the dominance edge from "
-                               f"point {columns[a][pos - 1]} to {j}")
+
+    def violated(a, b):
+        """The first dominance edge from column a into column b, in
+        column b's u-order, that the v-order ranks backwards."""
+        for j in columns[b]:
+            pos = bisect_right(keys[a], urank[pt_z[j]])
+            if pos and vrank[columns[a][pos - 1]] > vrank[j]:
+                return columns[a][pos - 1], j
+        return None
+
+    # v-ranks rise along each column, so every edge from column a into
+    # column b runs forward when a's last point ranks above b's first; the
+    # first violated pair (a, b) in index order is the one named, and once
+    # one is found, only a lower a can come before it
+    lasts = [vrank[col[-1]] for col in columns]
+    first = None
+    for b, up in enumerate(_dominators(os_)):
+        top = vrank[columns[b][0]]
+        mask = up & ~(1 << b)
+        if first:
+            mask &= (1 << first[0]) - 1
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            a = low.bit_length() - 1
+            if lasts[a] > top:
+                edge = violated(a, b)
+                if edge:
+                    first = (a, *edge)
+                    break
+    if first:
+        _, i, j = first
+        return WitnessCheck(
+            False, f"v-order violates the dominance edge from point {i} "
+                   f"to {j}")
     return WitnessCheck(True, None)
+
+
+def _dominators(vectors: list) -> list:
+    """Per vector, the bitset of the vectors at or above it in every
+    coordinate, itself included: per coordinate, one walk down the
+    indices sorted by value, with a running union that each run of equal
+    values takes once the run is in, ANDed into the run's bitsets."""
+    n = len(vectors)
+    masks = [(1 << n) - 1] * n
+    for coord in zip(*vectors):
+        order = sorted(range(n), key=coord.__getitem__, reverse=True)
+        seen = start = 0
+        for i, a in enumerate(order, 1):
+            seen |= 1 << a
+            if i == n or coord[order[i]] != coord[a]:
+                for b in order[start:i]:
+                    masks[b] &= seen
+                start = i
+    return masks
 
 
 def _checked(ds, grid, tie_mode, u_order, v_order) -> SeparabilityWitness:

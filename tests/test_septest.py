@@ -5,9 +5,11 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from operator import ge
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seprat import cli, cnf, septest
 from seprat.numerics import DimensionMismatch, dot
@@ -498,6 +500,17 @@ class TestVerifyWitness:
         for tie in ("strict", "weak"):
             self.assert_family(ds, grid, SeparabilityWitness(u, order),
                                tie, "violates the dominance edge from")
+        # one z-part and nothing affordable: the dominating column's last
+        # point ranks just below the dominated column's first
+        ds = Dataset(n_z=1, n_o=1,
+                     observations=(Observation(x=(F(1), F(0)),
+                                               p=(F(1), F(1))),),
+                     evaluation_points=(EvaluationPoint(x=(F(1), F(1))),))
+        grid = build_grid(ds)
+        order = (grid.locate((F(1), F(0))), grid.locate((F(1), F(1))))
+        for tie in ("strict", "weak"):
+            self.assert_family(ds, grid, SeparabilityWitness((0,), order),
+                               tie, "violates the dominance edge from")
 
     def test_z_dominance_violation_names_the_pair(self):
         ds = Dataset(n_z=1, n_o=1,
@@ -531,6 +544,43 @@ def _mutations(witness, rng):
     if len(u) > 1:
         out.append(SeparabilityWitness(swapped(u, True), v))
     return out
+
+
+def _moved_above(ds, grid, witness, rng, count):
+    """Up to `count` witnesses, each with one point moved to just above
+    some observation's chosen bundle, from an o-column whose points all
+    rank below that bundle: the checker's 1-edge walk skips such a column
+    until the move, and must see the moved point after it.  The point is
+    the dearest one the observation can afford, when there is one: the
+    column bound is then closest to the budget."""
+    v = witness.v_order
+    vrank = {j: r for r, j in enumerate(v)}
+    out = []
+    for k in rng.sample(range(len(ds.observations)),
+                        min(count, len(ds.observations))):
+        obs, src = ds.observations[k], grid.sources(ds)[k]
+        costs = {j: dot(obs.p, sum(grid.points[j], ()))
+                 for col in grid.columns
+                 if min(vrank[j] for j in col) > vrank[src] for j in col}
+        affordable = [j for j, c in costs.items() if c <= dot(obs.p, obs.x)]
+        if costs:
+            j = max(affordable, key=costs.get) if affordable \
+                else rng.choice(list(costs))
+            order = [i for i in v if i != j]
+            order.insert(vrank[src], j)
+            out.append(SeparabilityWitness(witness.u_order, tuple(order)))
+    return out
+
+
+def _with_negative_z(ds, rng):
+    """`ds` with each bundle's first z-coordinate lowered by 0 to 3, so
+    that z-parts, and least z-costs, can be negative."""
+    def lowered(row):
+        return dataclasses.replace(
+            row, x=(row.x[0] - rng.randint(0, 3),) + row.x[1:])
+    return dataclasses.replace(
+        ds, observations=tuple(map(lowered, ds.observations)),
+        evaluation_points=tuple(map(lowered, ds.evaluation_points)))
 
 
 class TestIntegerChecker:
@@ -581,6 +631,56 @@ class TestIntegerChecker:
                     rejected += self.assert_agreement(
                         ds, grid, verdict.witness, rng)
         assert witnesses >= 300 and rejected > 0
+
+    @staticmethod
+    def assert_moves_agree(ds, grid, witness, rng, count):
+        """Both checkers on `_moved_above`'s moves of `witness`, in both
+        tie modes; returns how many were rejected."""
+        rejected = 0
+        for candidate in _moved_above(ds, grid, witness, rng, count):
+            for tie in ("strict", "weak"):
+                new = verify_witness(ds, grid, candidate, tie).valid
+                old = pairwise_verify_witness(ds, grid, candidate, tie).valid
+                assert new == old, (tie, candidate)
+                rejected += not new
+        return rejected
+
+    def test_agrees_when_a_point_moves_above_a_chosen_bundle_compiled(self):
+        # the checker walks an o-column for an observation only when the
+        # column's best point ranks above the chosen bundle and its
+        # cheapest possible point could undercut the least cost so far
+        rng = random.Random(1214)
+        witnesses = rejected = 0
+        for clauses in (3, 4, 5, 6):
+            ds = reduce_formula(cnf.random_formula(rng, clauses + 2, clauses),
+                                OFFSET_MODES[clauses % 2])
+            grid = build_grid(ds)
+            for tie in ("strict", "weak"):
+                verdict = decide_cegar(ds, grid, tie)
+                if verdict.rationalizable:
+                    witnesses += 1
+                    rejected += self.assert_moves_agree(
+                        ds, grid, verdict.witness, rng, 4)
+        assert witnesses >= 4 and rejected > 0
+
+    def test_agrees_when_a_point_moves_above_a_chosen_bundle_foreign(self):
+        # negative z-coordinates make negative least z-costs, which the
+        # column bound must still take as they are
+        rng = random.Random(1215)
+        witnesses = rejected = negative = 0
+        for _ in range(200):
+            ds = _with_negative_z(random_foreign_dataset(rng), rng)
+            grid = build_grid(ds)
+            for tie in ("strict", "weak"):
+                verdict = decide(ds, tie_mode=tie)
+                if verdict.rationalizable:
+                    witnesses += 1
+                    negative += any(dot(o.p[:ds.n_z], z) < 0
+                                    for o in ds.observations
+                                    for z in grid.z_parts)
+                    rejected += self.assert_moves_agree(
+                        ds, grid, verdict.witness, rng, 4)
+        assert witnesses >= 100 and negative >= 50 and rejected > 0
 
     def test_agrees_on_every_order_over_mixed_denominators(self):
         # z-parts in halves and o-parts in thirds: scaling them by separate
@@ -854,6 +954,16 @@ def test_arena_edge_families_match_an_all_pairs_scan():
     assert differ >= len(ties)
 
 
+@given(st.integers(1, 9).flatmap(lambda d: st.lists(
+    st.tuples(*[st.integers(-3, 3)] * d), max_size=40)))
+def test_dominated_pairs_equal_the_all_pairs_scan(parts):
+    # ties, duplicate parts and negative values all occur; the order is
+    # the all-pairs scan's, which the SAT units and candidates follow
+    assert septest._dominated_pairs(parts) == [
+        (a, b) for a, pa in enumerate(parts) for b, pb in enumerate(parts)
+        if a != b and all(map(ge, pa, pb))]
+
+
 def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
     # compiled data repeats its prices, so the arena's inner products grow
     # with the distinct prices, not with the observations
@@ -928,9 +1038,10 @@ def test_arena_compares_no_fractions(monkeypatch):
 
 
 def test_no_fraction_is_hashed_after_the_grid(monkeypatch):
-    # build_grid keys every bundle and price once and records each
-    # observation's point and price classes; the arena, the search and the
-    # checker read those records and hash no Fraction
+    # build_grid keys every bundle and price by integer pairs once and
+    # records each observation's point and price classes; the arena, the
+    # search and the checker read those records, and the Fraction-keyed
+    # part maps are built only on first use, so no step hashes a Fraction
     rng = random.Random(31)
     formulas = [cnf.parse_dimacs(SINGLE_CLAUSE),
                 cnf.parse_dimacs(SLOT_CONFLICT), cnf.random_formula(rng, 5, 3)]
@@ -945,8 +1056,7 @@ def test_no_fraction_is_hashed_after_the_grid(monkeypatch):
         return fraction_hash(self)
     monkeypatch.setattr(Fraction, "__hash__", counted)
     grids = [build_grid(ds) for ds in datasets]
-    assert calls  # the grid's public part maps are keyed by Fractions
-    calls.clear()
+    assert calls == []
     witnesses = 0
     for ds, grid in zip(datasets, grids):
         for tie in ("strict", "weak"):
