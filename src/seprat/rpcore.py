@@ -60,12 +60,13 @@ def _index(ids: dict, firsts: list, key, value) -> int:
 @dataclass(frozen=True, slots=True)
 class ObservationRows:
     """Per observation of one dataset, in row order: its grid point and
-    the indices of its z-price and o-price among the distinct ones."""
-    points: list           # grid point per observation
-    z_price: list          # z_prices index per observation
-    o_price: list          # o_prices index per observation
-    z_prices: list         # distinct z-prices, first-appearance order
-    o_prices: list         # distinct o-prices, first-appearance order
+    the indices of its z-price and o-price among the distinct ones.  The
+    fields are tuples, so a caller cannot change the grid's own record."""
+    points: tuple          # grid point per observation
+    z_price: tuple         # z_prices index per observation
+    o_price: tuple         # o_prices index per observation
+    z_prices: tuple        # distinct z-prices, first-appearance order
+    o_prices: tuple        # distinct o-prices, first-appearance order
 
 
 @dataclass
@@ -109,7 +110,7 @@ class Grid:
         return self.point_index.get((self.z_keys.get(key[:self.n_z]),
                                      self.o_keys.get(key[self.n_z:])))
 
-    def sources(self, ds: Dataset) -> list:
+    def sources(self, ds: Dataset) -> tuple:
         """Each observation's point, in row order; the error names the
         first observation whose bundle is off the grid."""
         return self.rows(ds).points
@@ -138,7 +139,8 @@ class Grid:
                                   tuple(obs.p[:n_z])))
             o_price.append(_index(o_ids, o_prices, key[n_z:],
                                   tuple(obs.p[n_z:])))
-        return ObservationRows(points, z_price, o_price, z_prices, o_prices)
+        return ObservationRows(tuple(points), tuple(z_price), tuple(o_price),
+                               tuple(z_prices), tuple(o_prices))
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ between o-columns that links each column to every column some edge
 family could reach from it under some u-order.  No cycle leaves one, so
 point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
-order.  The arena runs on integers alone: the grid's z- and o-parts share
-one common denominator, each distinct price has its own, and every cost
-is an integer inner product, taken once per distinct price (compiled
-data repeats its prices across levels, so most observations need none).
+order.  The arena runs on integers alone, on one scale: the grid's z- and
+o-parts share one common denominator, all its distinct prices share
+another, and every cost is an integer inner product over their product,
+taken once per distinct price (compiled data repeats its prices across
+levels, so most observations need none).
 The grid's rows (`Grid.rows`) give each observation's point and the
 indices of its distinct z- and o-price, so no step of a decision, the
 grid and the witness check included, hashes a `Fraction`.
@@ -128,17 +129,16 @@ class _Arena:
 
     The column graph links each observation's column to every column whose
     cheapest point it affords, and each column to every column whose
-    o-part its own dominates.  All grid parts are scaled once, to
-    integers over one common denominator D.  Costs come from one z-cost
-    vector per distinct z-price and one o-cost vector per distinct
-    o-price of the grid's rows (`_cost_vector`, `Grid.rows`), so an
-    observation whose price repeats an earlier one's takes no new inner
-    product.  Each price is scaled over its least common denominator,
-    d_z or d_o, so a z-cost vector is on the d_z * D scale; a cost
-    compared with a budget is a z-cost times d_o plus an o-cost times
-    d_z, so no cost or comparison touches a `Fraction`.  Dominance
-    between parts is found on the scaled parts from sorted coordinates
-    (`_dominated_pairs`), with no pairwise comparison.
+    o-part its own dominates.  One scale holds every cost: the grid's
+    parts are integers over one common denominator D, and all distinct
+    prices of the grid's rows (`Grid.rows`) over one P, so every z-cost,
+    o-cost and budget is an integer over P * D, and a point's cost is
+    the plain sum of its z-cost and o-cost.  Costs come from one vector
+    per distinct z-price and per distinct o-price (`_cost_vector`), so
+    an observation whose price repeats an earlier one's takes no new
+    inner product, and no cost or comparison touches a `Fraction`.
+    Dominance between parts is found on the scaled parts from sorted
+    coordinates (`_dominated_pairs`), with no pairwise comparison.
     Every edge of the combined relation, under any u-order, runs along
     that graph (2-edges stay inside one column), so its strongly
     connected components hold every cycle.  `comp` labels each point by
@@ -167,7 +167,7 @@ class _Arena:
         pt_z, pt_o = grid.pt_z, grid.pt_o
         # z- and o-parts share one denominator D: scaled apart, each cost
         # sum would weigh its two halves differently
-        parts = _lcd_scaled_parts(grid.z_parts + grid.o_parts)
+        parts = _lcd_scaled(grid.z_parts + grid.o_parts)
         z_parts, o_parts = parts[:nz], parts[nz:]
         if len({len(v) for v in z_parts}) > 1 \
                 or len({len(v) for v in o_parts}) > 1:
@@ -186,31 +186,30 @@ class _Arena:
             col_set.append(z_sets.setdefault(zs, len(z_sets)))
         # compiled data repeats its prices, so each cost vector (and each
         # z-cost's least value per z-part set) is taken once per distinct
-        # price of the grid's rows, over the price's own denominator: d_z
-        # for a z-cost, d_o for an o-cost, so every cost below is on the
-        # d_z * d_o * D scale
+        # price of the grid's rows; all prices share one denominator P, so
+        # every cost below is on the one P * D scale
         rows = grid.rows(ds)
         for obs in ds.observations:
             if len(obs.p) != len(obs.x):
                 raise DimensionMismatch(
                     f"dimension {len(obs.p)} vs {len(obs.x)}")
-        z_costs = []
-        for pz in rows.z_prices:
-            z_cost, d_z = _cost_vector(pz, z_parts)
-            z_costs.append((z_cost, d_z, [min(z_cost[z] for z in zs)
-                                          for zs in z_sets]))
-        o_costs = [_cost_vector(po, o_parts) for po in rows.o_prices]
+        prices = _lcd_scaled(rows.z_prices + rows.o_prices)
+        cut = len(rows.z_prices)
+        z_costs = [_cost_vector(p, z_parts) for p in prices[:cut]]
+        o_costs = [_cost_vector(p, o_parts) for p in prices[cut:]]
+        z_least = [[min(z_cost[z] for z in zs) for zs in z_sets]
+                   for z_cost in z_costs]
         revealed = []
         for src, zi, oi in zip(rows.points, rows.z_price, rows.o_price):
-            (z_cost, d_z, z_least), (o_cost, d_o) = z_costs[zi], o_costs[oi]
-            budget = z_cost[pt_z[src]] * d_o + o_cost[pt_o[src]] * d_z
-            slack = [budget - least * d_o for least in z_least]
+            z_cost, o_cost = z_costs[zi], o_costs[oi]
+            budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
+            slack = [budget - least for least in z_least[zi]]
             reach = between[pt_o[src]]
             for o, s in enumerate(col_set):
-                cost = o_cost[o] * d_z
+                cost = o_cost[o]
                 if cost < slack[s] or (weak and cost == slack[s]):
                     reach.add(o)
-            revealed.append((src, z_cost, d_z, o_cost, d_o, budget))
+            revealed.append((src, z_cost, o_cost, budget))
 
         col_comp = strongly_connected_components(
             [sorted(dsts) for dsts in between])
@@ -219,11 +218,11 @@ class _Arena:
         for j, c in enumerate(self.comp):
             members.setdefault(c, []).append(j)
         self.always = []
-        for src, z_cost, d_z, o_cost, d_o, budget in revealed:
+        for src, z_cost, o_cost, budget in revealed:
             for j in members[self.comp[src]]:
                 if j == src:
                     continue
-                cost = z_cost[pt_z[j]] * d_o + o_cost[pt_o[j]] * d_z
+                cost = z_cost[pt_z[j]] + o_cost[pt_o[j]]
                 if cost < budget or (weak and cost == budget):
                     self.always.append((src, j))
         self.dom_candidates = []  # (src_pt, dst_pt, z_src, z_dst)
@@ -274,27 +273,19 @@ class _Arena:
         return all(rank[a] < rank[b] for a, b in self.z_dom_pairs)
 
 
-def _lcd_scaled(values) -> tuple:
-    """`values` as integers over their least common denominator, and
-    that denominator."""
-    ratios = [v.as_integer_ratio() for v in values]
+def _lcd_scaled(vectors: list) -> list:
+    """`vectors` as integer tuples over one common denominator."""
+    ratios = [c.as_integer_ratio() for v in vectors for c in v]
     den = math.lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
+    flat = (n * (den // d) for n, d in ratios)
+    return [tuple(itertools.islice(flat, len(v))) for v in vectors]
 
 
-def _lcd_scaled_parts(parts: list) -> list:
-    """`parts` as integer tuples over one common denominator."""
-    flat, _ = _lcd_scaled([c for part in parts for c in part])
-    it = iter(flat)
-    return [tuple(itertools.islice(it, len(part))) for part in parts]
-
-
-def _cost_vector(price, parts: list) -> tuple:
-    """The cost of each of the integer `parts` at `price`, as integers
-    over the price's least common denominator, and that denominator; the
+def _cost_vector(price: tuple, parts: list) -> list:
+    """The cost of each of the integer `parts` at the integer `price`, on
+    the one scale of every cost (the parts' D times the prices' P); the
     caller has checked that the lengths agree."""
-    ints, den = _lcd_scaled(price)
-    return [sum(map(mul, ints, part)) for part in parts], den
+    return [sum(map(mul, price, part)) for part in parts]
 
 
 def _dominated_pairs(parts: list) -> list:
@@ -580,28 +571,28 @@ def decide(ds: Dataset, tie_mode: str = "weak",
 
 # -- witness verification ----------------------------------------------------
 
-def _scaled(vectors: list) -> tuple:
-    """`vectors` as integer tuples over one common denominator, and that
-    denominator."""
+def _scaled(vectors: list) -> list:
+    """`vectors` as integer tuples over one common denominator."""
     ratios = [[c.as_integer_ratio() for c in v] for v in vectors]
     den = math.lcm(*[d for r in ratios for _, d in r])
-    return [tuple([n * (den // d) for n, d in r]) for r in ratios], den
+    return [tuple([n * (den // d) for n, d in r]) for r in ratios]
 
 
 def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
                    tie_mode: str = "weak") -> WitnessCheck:
     """Full check of both orders against every constraint family, on
-    integers and apart from the deciders' code: grid parts share one
-    denominator (scaled apart, z- and o-parts would skew each cost sum).
-    The first failure is reported, in the order of the families below.
+    integers and apart from the deciders' code, all on one scale: grid
+    parts share one denominator (scaled apart, z- and o-parts would skew
+    each cost sum), and all distinct prices of the grid's rows
+    (`Grid.rows`) share another, so every cost and budget is an integer
+    over their product.  The first failure is reported, in the order of
+    the families below.
 
     Dominance between parts comes from per-part bitsets of dominators,
     built from sorted coordinates (`_dominators`), not from pairwise
     comparisons.  1-edges take one z-cost vector per distinct z-price
-    and one o-cost vector per distinct o-price of the grid's rows
-    (`Grid.rows`), each over its price's own denominator; an observation
-    compares costs on the product of its two denominators, each vector
-    rescaled once per distinct pair of price and the other denominator.
+    and one o-cost vector per distinct o-price, and a point's cost is
+    the sum of its two entries.
     Each o-column's points are sorted by v-rank once.  An observation
     skips a column whose best point ranks below its chosen bundle, and a
     column whose o-cost plus the price's least z-cost (a bound on every
@@ -616,7 +607,7 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
     nz, npts = len(grid.z_parts), len(grid.points)
-    parts, _ = _scaled(grid.z_parts + grid.o_parts)
+    parts = _scaled(grid.z_parts + grid.o_parts)
     zs, os_ = parts[:nz], parts[nz:]
     if len({len(v) for v in zs}) > 1 or len({len(v) for v in os_}) > 1:
         raise DimensionMismatch("grid parts differ in length")
@@ -652,37 +643,26 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
         if len(obs.p) != len(obs.x):
             raise DimensionMismatch(f"dimension {len(obs.p)} vs {len(obs.x)}")
 
-    def costs(price, vectors):
-        (p,), den = _scaled([price])
-        return [sum(map(mul, p, v)) for v in vectors], den
-
-    def rescaled(cache, table, i, den):
-        """table[i]'s cost vector times `den`, taken once per (i, den)."""
-        vector = cache.get((i, den))
-        if vector is None:
-            vector = cache[i, den] = [c * den for c in table[i][0]]
-        return vector
-
     # each o-column's points best first, and the columns in the order of
     # their best points: those with a point above an observation's chosen
     # bundle come first
     by_v = [sorted(col, key=vrank.__getitem__) for col in grid.columns]
     tops = sorted(range(len(by_v)), key=lambda o: vrank[by_v[o][0]])
     top_ranks = [vrank[by_v[o][0]] for o in tops]
-    z_costs = [costs(pz, zs) for pz in rows.z_prices]
-    z_least = [min(z_cost) for z_cost, _ in z_costs]
-    o_costs = [costs(po, os_) for po in rows.o_prices]
-    z_rescaled, o_rescaled = {}, {}
+    prices = _scaled(rows.z_prices + rows.o_prices)
+    cut = len(rows.z_prices)
+    z_costs = [[sum(map(mul, p, v)) for v in zs] for p in prices[:cut]]
+    z_least = [min(z_cost) for z_cost in z_costs]
+    o_costs = [[sum(map(mul, p, v)) for v in os_] for p in prices[cut:]]
     for k, (src, zi, oi) in enumerate(zip(rows.points, rows.z_price,
                                           rows.o_price)):
-        z_cost = rescaled(z_rescaled, z_costs, zi, o_costs[oi][1])
-        o_cost = rescaled(o_rescaled, o_costs, oi, z_costs[zi][1])
+        z_cost, o_cost = z_costs[zi], o_costs[oi]
         budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
         rank = vrank[src]
         # no point of a column costs less than its o-cost plus the price's
         # least z-cost, so a column whose bound is not below the least
         # cost found so far cannot lower it
-        bound = z_least[zi] * o_costs[oi][1]
+        bound = z_least[zi]
         least = budget + 1
         for o in tops[:bisect_left(top_ranks, rank)]:
             if o_cost[o] + bound >= least:

@@ -12,6 +12,7 @@ from seprat.rpcore import (GRID_MODES, GridError, RelationError,
                            build_grid, find_cycle_in_adjacency, garp_check,
                            revealed_relation, strongly_connected_components,
                            to_dot, topological_order)
+from seprat.septest import decide_cegar
 from tests.conftest import SINGLE_CLAUSE, random_foreign_dataset
 
 F = Fraction
@@ -102,7 +103,8 @@ def assert_grid_maps(ds, grid):
         assert grid.points[j] == (row.x[:ds.n_z], row.x[ds.n_z:])
         assert grid.z_parts[grid.pt_z[j]] == row.x[:ds.n_z]
         assert grid.o_parts[grid.pt_o[j]] == row.x[ds.n_z:]
-    assert grid.sources(ds) == [grid.locate(o.x) for o in ds.observations]
+    assert grid.sources(ds) == tuple(grid.locate(o.x)
+                                     for o in ds.observations)
     # the rows recorded at build time: each observation's point and the
     # distinct prices its price splits into, in first-appearance order
     rows = grid.rows(ds)
@@ -112,9 +114,9 @@ def assert_grid_maps(ds, grid):
         assert j == grid.locate(obs.x)
         assert rows.z_prices[zi] == obs.p[:ds.n_z]
         assert rows.o_prices[oi] == obs.p[ds.n_z:]
-    assert rows.z_prices == list(dict.fromkeys(
+    assert rows.z_prices == tuple(dict.fromkeys(
         o.p[:ds.n_z] for o in ds.observations))
-    assert rows.o_prices == list(dict.fromkeys(
+    assert rows.o_prices == tuple(dict.fromkeys(
         o.p[ds.n_z:] for o in ds.observations))
     # an equal but distinct dataset is read again, to the same rows
     copy = dataclasses.replace(ds)
@@ -160,6 +162,18 @@ class TestGridMaps:
                 grid = build_grid(ds, mode)
                 assert grid.mode == "full-product"
                 assert_grid_maps(ds, grid)
+
+    def test_callers_cannot_change_the_recorded_rows(self, single_clause):
+        # reversing the list `sources` handed out once flipped the next
+        # decision on this grid to not-rationalizable
+        ds = reduce_formula(single_clause)
+        grid = build_grid(ds)
+        rows = grid.rows(ds)
+        assert all(isinstance(getattr(rows, f.name), tuple)
+                   for f in dataclasses.fields(rows))
+        with pytest.raises(AttributeError):
+            grid.sources(ds).reverse()
+        assert decide_cegar(ds, grid, "strict").rationalizable
 
     def test_parts_of_two_levels_make_no_point(self):
         # both parts are on the per-level grid, but their cell is not

@@ -725,14 +725,14 @@ class TestIntegerChecker:
 
     @pytest.mark.parametrize("clauses", [3, 4])
     def test_each_distinct_price_is_costed_once(self, monkeypatch, clauses):
-        # one scaling of the grid parts, then one cost vector per distinct
-        # z-price and per distinct o-price, however many observations
-        # repeat them
+        # two scalings: the grid parts, then every distinct z-price and
+        # o-price over one denominator, however many observations repeat
+        # them
         calls = []
         scaled = septest._scaled
 
         def counting(vectors):
-            calls.append(None)
+            calls.append(list(vectors))
             return scaled(vectors)
         monkeypatch.setattr(septest, "_scaled", counting)
         formula = cnf.random_formula(random.Random(clauses), clauses + 2,
@@ -741,12 +741,15 @@ class TestIntegerChecker:
             ds = reduce_formula(formula, mode)
             grid = build_grid(ds)
             witness = decide_cegar(ds, grid, "strict").witness
-            z_prices = {o.p[:ds.n_z] for o in ds.observations}
-            o_prices = {o.p[ds.n_z:] for o in ds.observations}
+            z_prices = list(dict.fromkeys(o.p[:ds.n_z]
+                                          for o in ds.observations))
+            o_prices = list(dict.fromkeys(o.p[ds.n_z:]
+                                          for o in ds.observations))
             assert len(z_prices) + len(o_prices) < len(ds.observations)
             calls.clear()
             assert verify_witness(ds, grid, witness, "strict").valid
-            assert len(calls) == 1 + len(z_prices) + len(o_prices), mode
+            assert calls == [grid.z_parts + grid.o_parts,
+                             z_prices + o_prices], mode
 
     def test_hostile_inputs_raise(self, single_clause):
         for ds in (reduce_formula(single_clause),
@@ -966,14 +969,20 @@ def test_dominated_pairs_equal_the_all_pairs_scan(parts):
 
 def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
     # compiled data repeats its prices, so the arena's inner products grow
-    # with the distinct prices, not with the observations
-    calls = []
-    cost_vector = septest._cost_vector
+    # with the distinct prices, not with the observations; the parts are
+    # scaled once and all prices once, over one denominator
+    calls, scalings = [], []
+    cost_vector, lcd_scaled = septest._cost_vector, septest._lcd_scaled
 
     def counted(price, parts):
         calls.extend([None] * len(parts))
         return cost_vector(price, parts)
+
+    def scaled(vectors):
+        scalings.append(None)
+        return lcd_scaled(vectors)
     monkeypatch.setattr(septest, "_cost_vector", counted)
+    monkeypatch.setattr(septest, "_lcd_scaled", scaled)
     f = cnf.random_formula(random.Random(6), 8, 6)
     for mode, eta in (("paper", 0), ("linear", 0), ("linear", F(1, 7))):
         ds = reduce_formula(f, mode, eta)
@@ -982,9 +991,11 @@ def test_arena_takes_each_cost_vector_once_per_distinct_price(monkeypatch):
         o_prices = {o.p[ds.n_z:] for o in ds.observations}
         assert len(o_prices) == 6
         calls.clear()
+        scalings.clear()
         _Arena(ds, grid, "strict")
         assert len(calls) == len(z_prices) * len(grid.z_parts) \
             + len(o_prices) * len(grid.o_parts), (mode, eta)
+        assert len(scalings) == 2, (mode, eta)
 
 
 def test_arena_raises_on_bundles_of_different_lengths():
