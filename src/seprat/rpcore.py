@@ -5,15 +5,15 @@ The grid collects the z- and o-projections of all bundles in a dataset
 product; a "level" is the clause index recorded by the compiler.  The
 full-product mode crosses all projections regardless of level, and data
 without clause levels, or without bundles, always gets the full product.
-`Grid` is the one map from bundles and parts to indices: `locate` and
-`sources` find a bundle's point, `z_index` a z-part's index and `columns`
-the points of each o-part.  Bundles and prices are found by integer keys
-(`_key`), so no lookup hashes a `Fraction`.  `rows` records each
-observation's point and the indices of its distinct z- and o-price; the
-grid keeps the records of the dataset it was built from, so a decision
-keys each bundle and each price once, in `build_grid`.  `z_index` and
-`o_index`, the maps keyed by the parts themselves, are built on first
-use; no decision reads them, so a decision hashes no `Fraction` at all.
+`Grid` is an immutable value: every sequence in it is a tuple, and
+`build_grid` makes it in one constructor call.  It is the one map from
+bundles and parts to indices: `locate` finds a bundle's point,
+`locate_z` a z-part's index and `columns` the points of each o-part.
+Bundles, parts and prices are found by integer keys (`_key`), so no
+lookup hashes a `Fraction`.  `rows` records each observation's point and
+the indices of its distinct z- and o-price; the grid keeps the records
+of the dataset it was built from, so a decision keys each bundle and
+each price once, in `build_grid`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 import logging
 from dataclasses import dataclass, field
-from functools import cached_property
 from heapq import heappop, heappush
 
 from .numerics import dot
@@ -69,78 +68,69 @@ class ObservationRows:
     o_prices: tuple        # distinct o-prices, first-appearance order
 
 
-@dataclass
+def _observation_rows(ds: Dataset, n_z: int, points: list) -> ObservationRows:
+    """`ds`'s records from its observations' points, in row order; the
+    error names the first observation whose bundle is off the grid."""
+    if None in points:
+        raise RelationError(
+            f"observation {points.index(None)} bundle is not on the grid")
+    z_ids, o_ids, z_prices, o_prices = {}, {}, [], []
+    z_price, o_price = [], []
+    for obs in ds.observations:
+        key = _key(obs.p)
+        z_price.append(_index(z_ids, z_prices, key[:n_z], tuple(obs.p[:n_z])))
+        o_price.append(_index(o_ids, o_prices, key[n_z:], tuple(obs.p[n_z:])))
+    return ObservationRows(tuple(points), tuple(z_price), tuple(o_price),
+                           tuple(z_prices), tuple(o_prices))
+
+
+@dataclass(frozen=True, slots=True)
 class Grid:
-    """The grid's parts and points, and the maps between them.  Lookups
-    go by integer keys (`_key`); `z_index` and `o_index` map the parts
-    themselves, for callers that hold a part, and are built on first use
-    (hashing every part's `Fraction`s, which no decision needs).  `rows`
-    gives a dataset's observation records, kept from `build_grid` for the
+    """The grid's parts and points, and the maps between them.  The grid
+    is frozen, its sequences are tuples and its maps from integer keys
+    (`_key`) to indices are private, so no caller changes the state a
+    decision reads.  A point is its z-part and o-part indices (`pt_z`,
+    `pt_o`); `points` spells them out on each read.  `rows` gives a
+    dataset's observation records, kept from `build_grid` for the
     dataset the grid was built from."""
-    z_parts: list          # deduplicated z-projections, first-appearance order
-    o_parts: list          # deduplicated o-projections, first-appearance order
-    points: list           # (z-part, o-part) tuples, deduplicated
-    pt_z: list             # z_parts index per point
-    pt_o: list             # o_parts index per point
-    point_index: dict      # (z_parts index, o_parts index) -> point index
+    z_parts: tuple         # deduplicated z-projections, first-appearance order
+    o_parts: tuple         # deduplicated o-projections, first-appearance order
+    pt_z: tuple            # z_parts index per point
+    pt_o: tuple            # o_parts index per point
+    columns: tuple         # ascending point indices per o_parts index
     n_z: int               # the z-goods lead every bundle
-    columns: list          # ascending point indices per o_parts index
     mode: str
-    z_keys: dict           # a z-part's `_key` -> z_parts index
-    o_keys: dict           # an o-part's `_key` -> o_parts index
     dataset: Dataset = field(repr=False, compare=False)  # built from
-    own_rows: ObservationRows = field(default=None, repr=False,
+    own_rows: ObservationRows = field(repr=False,
                                       compare=False)  # `dataset`'s rows
+    _point_index: dict = field(repr=False, compare=False)  # (zi, oi) -> point
+    _z_keys: dict = field(repr=False, compare=False)  # z-part key -> index
+    _o_keys: dict = field(repr=False, compare=False)  # o-part key -> index
 
-    @cached_property
-    def z_index(self) -> dict:
-        """z-part -> z_parts index, built on first use."""
-        return {z: i for i, z in enumerate(self.z_parts)}
-
-    @cached_property
-    def o_index(self) -> dict:
-        """o-part -> o_parts index, built on first use."""
-        return {o: i for i, o in enumerate(self.o_parts)}
+    @property
+    def points(self) -> tuple:
+        """(z-part, o-part) per point."""
+        z, o = self.z_parts, self.o_parts
+        return tuple([(z[zi], o[oi]) for zi, oi in zip(self.pt_z, self.pt_o)])
 
     def locate(self, x) -> int | None:
         """The point of bundle `x`, or None when it is off the grid."""
-        return self._point(_key(x))
+        key = _key(x)
+        return self._point_index.get((self._z_keys.get(key[:self.n_z]),
+                                      self._o_keys.get(key[self.n_z:])))
 
-    def _point(self, key) -> int | None:
-        return self.point_index.get((self.z_keys.get(key[:self.n_z]),
-                                     self.o_keys.get(key[self.n_z:])))
-
-    def sources(self, ds: Dataset) -> tuple:
-        """Each observation's point, in row order; the error names the
-        first observation whose bundle is off the grid."""
-        return self.rows(ds).points
+    def locate_z(self, z) -> int | None:
+        """The index of z-part `z`, or None when it is not on the grid."""
+        return self._z_keys.get(_key(z))
 
     def rows(self, ds: Dataset) -> ObservationRows:
         """The records of `ds`: kept for the dataset the grid was built
-        from, read again for any other."""
+        from, read again for any other; the error names the first
+        observation whose bundle is off the grid."""
         if ds is self.dataset:
             return self.own_rows
-        return self._read_rows(ds, [_key(obs.x) for obs in ds.observations])
-
-    def _read_rows(self, ds: Dataset, bundle_keys: list) -> ObservationRows:
-        """`ds`'s records from its observations' bundle keys, in row
-        order; the error names the first observation whose bundle is off
-        the grid."""
-        n_z = self.n_z
-        points = [self._point(key) for key in bundle_keys]
-        if None in points:
-            raise RelationError(
-                f"observation {points.index(None)} bundle is not on the grid")
-        z_ids, o_ids, z_prices, o_prices = {}, {}, [], []
-        z_price, o_price = [], []
-        for obs in ds.observations:
-            key = _key(obs.p)
-            z_price.append(_index(z_ids, z_prices, key[:n_z],
-                                  tuple(obs.p[:n_z])))
-            o_price.append(_index(o_ids, o_prices, key[n_z:],
-                                  tuple(obs.p[n_z:])))
-        return ObservationRows(tuple(points), tuple(z_price), tuple(o_price),
-                               tuple(z_prices), tuple(o_prices))
+        points = [self.locate(obs.x) for obs in ds.observations]
+        return _observation_rows(ds, self.n_z, points)
 
 
 @dataclass(frozen=True)
@@ -178,27 +168,29 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
     # a part's index and a point's index are their first appearance; a
     # part is kept from the first bundle that holds it
     z_keys, o_keys, point_index, z_parts, o_parts = {}, {}, {}, [], []
+    cells = [None] * len(bundles)  # each bundle's (z-part, o-part) indices
     for group in groups:
         group_z, group_o = {}, {}
         for r in group:
             x, key = bundles[r][0], keys[r]
-            group_z[_index(z_keys, z_parts, key[:n_z], tuple(x[:n_z]))] = None
-            group_o[_index(o_keys, o_parts, key[n_z:], tuple(x[n_z:]))] = None
+            cell = cells[r] = (
+                _index(z_keys, z_parts, key[:n_z], tuple(x[:n_z])),
+                _index(o_keys, o_parts, key[n_z:], tuple(x[n_z:])))
+            group_z[cell[0]] = group_o[cell[1]] = None
         for cell in itertools.product(group_z, group_o):
             point_index.setdefault(cell, len(point_index))
-    points = [(z_parts[zi], o_parts[oi]) for zi, oi in point_index]
-    pt_z = [zi for zi, _ in point_index]
-    pt_o = [oi for _, oi in point_index]
+    pt_z, pt_o = tuple(zip(*point_index)) or ((), ())
     columns = [[] for _ in o_parts]
     for j, oi in enumerate(pt_o):
         columns[oi].append(j)
+    own_rows = _observation_rows(
+        ds, n_z, [point_index[cell] for cell in cells[:len(ds.observations)]])
 
     log.debug("grid: %d z-parts, %d o-parts, %d points (%s)",
-              len(z_parts), len(o_parts), len(points), mode)
-    grid = Grid(z_parts, o_parts, points, pt_z, pt_o, point_index, n_z,
-                columns, mode, z_keys, o_keys, ds)
-    grid.own_rows = grid._read_rows(ds, keys[:len(ds.observations)])
-    return grid
+              len(z_parts), len(o_parts), len(pt_z), mode)
+    return Grid(tuple(z_parts), tuple(o_parts), pt_z, pt_o,
+                tuple(map(tuple, columns)), n_z, mode, ds, own_rows,
+                point_index, z_keys, o_keys)
 
 
 def revealed_relation(ds: Dataset, grid: Grid,
@@ -211,12 +203,13 @@ def revealed_relation(ds: Dataset, grid: Grid,
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
     graph = RevealedGraph()
-    for k, (obs, src) in enumerate(zip(ds.observations, grid.sources(ds))):
+    sources = grid.rows(ds).points
+    for k, (obs, src) in enumerate(zip(ds.observations, sources)):
         budget = dot(obs.p, obs.x)
         pz, po = obs.p[:ds.n_z], obs.p[ds.n_z:]
         z_cost = [dot(pz, part) for part in grid.z_parts]
         o_cost = [dot(po, part) for part in grid.o_parts]
-        for j in range(len(grid.points)):
+        for j in range(len(grid.pt_z)):
             if j == src:
                 continue
             cost = z_cost[grid.pt_z[j]] + o_cost[grid.pt_o[j]]
@@ -398,7 +391,7 @@ def to_dot(ds: Dataset, grid: Grid, graph: RevealedGraph) -> str:
         if level is not None and slot is not None:
             labels.setdefault(grid.locate(x), f"l{level}_t{slot}")
     names = [f'"{labels.get(j, f"g{grid.pt_z[j]}x{grid.pt_o[j]}")}"'
-             for j in range(len(grid.points))]
+             for j in range(len(grid.pt_z))]
     lines = ["digraph revealed {"]
     for name in names:
         lines.append(f'  {name};')

@@ -237,7 +237,7 @@ class _Arena:
                         self.always.append((i, j))
                     else:
                         self.dom_candidates.append((i, j, zi, zj))
-        self.fixed = [set() for _ in grid.points]
+        self.fixed = [set() for _ in grid.pt_z]
         for s, d in self.always:
             self.fixed[s].add(d)
 
@@ -606,14 +606,14 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     column's first needs none."""
     if tie_mode not in TIE_MODES:
         raise RelationError(f"unknown tie mode {tie_mode!r}")
-    nz, npts = len(grid.z_parts), len(grid.points)
+    nz, npts = len(grid.z_parts), len(grid.pt_z)
     parts = _scaled(grid.z_parts + grid.o_parts)
     zs, os_ = parts[:nz], parts[nz:]
     if len({len(v) for v in zs}) > 1 or len({len(v) for v in os_}) > 1:
         raise DimensionMismatch("grid parts differ in length")
-    if sorted(witness.u_order) != list(range(nz)):
+    if not _is_permutation(witness.u_order, nz):
         return WitnessCheck(False, "u-order is not a permutation of z-parts")
-    if sorted(witness.v_order) != list(range(npts)):
+    if not _is_permutation(witness.v_order, npts):
         return WitnessCheck(False, "v-order is not a permutation of grid points")
     urank = [0] * nz
     for pos, z in enumerate(witness.u_order):
@@ -725,6 +725,12 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     return WitnessCheck(True, None)
 
 
+def _is_permutation(order, n: int) -> bool:
+    """`order` holds each of 0..n-1 once, as an `int`: a float or bool
+    that equals one, or a string, is no index."""
+    return set(map(type, order)) <= {int} and sorted(order) == list(range(n))
+
+
 def _dominators(vectors: list) -> list:
     """Per vector, the bitset of the vectors at or above it in every
     coordinate, itself included: per coordinate, one walk down the
@@ -771,8 +777,8 @@ def truth_assignment_to_witness(f: cnf_mod.CnfFormula, ds: Dataset,
     bp = base_points(f.var_count)
     pairs = []
     for v in range(1, f.var_count + 1):
-        first = grid.z_index.get(bp.z[(v, 1)])
-        second = grid.z_index.get(bp.z[(v, 2)])
+        first = grid.locate_z(bp.z[(v, 1)])
+        second = grid.locate_z(bp.z[(v, 2)])
         if first is None or second is None:
             continue  # variable unused by any clause
         pairs.append((second, first) if assignment[v] else (first, second))
@@ -794,9 +800,14 @@ def witness_to_json(witness: SeparabilityWitness) -> dict:
 
 def witness_from_json(doc: dict) -> SeparabilityWitness:
     """Both orders must be lists of JSON integers: a float, bool or
-    string is refused, naming its field, rather than coerced.  Other keys
-    are ignored."""
+    string is refused, naming its field, rather than coerced, and so is a
+    document that is not an object or lacks a field.  Other keys are
+    ignored."""
+    if not isinstance(doc, dict):
+        raise ValueError("witness must be a JSON object")
     for key in ("u_order", "v_order"):
+        if key not in doc:
+            raise ValueError(f"witness has no {key}")
         values = doc[key]
         if not isinstance(values, list) or {type(x) for x in values} - {int}:
             raise ValueError(f"witness {key} must hold JSON integers")

@@ -1,3 +1,5 @@
+import graphlib
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from seprat.numerics import DimensionMismatch, dot
 from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
                               EvaluationPoint, Observation)
 from seprat.rpcore import Grid, revealed_relation
-from seprat.septest import SeparabilityWitness, WitnessCheck
+from seprat.septest import SeparabilityWitness, TestVerdict, WitnessCheck
 
 SINGLE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
 
@@ -130,6 +132,53 @@ def pairwise_verify_witness(ds: Dataset, grid: Grid,
                     False, f"v-order violates the dominance edge from "
                            f"point {i} to {j}")
     return WitnessCheck(True, None)
+
+
+def oracle_decide(ds: Dataset, grid: Grid,
+                  tie_mode: str = "weak") -> TestVerdict:
+    """Decide by enumeration, sharing only the grid with the deciders: the
+    oracle for `seprat.septest.decide`.
+
+    1-edges come from `revealed_relation`, which costs over Fractions.
+    Under each u-order that ranks every dominating z-part above the parts
+    it dominates, in lexicographic order, 2-edges and dominance edges are
+    built pair by pair of points, and `graphlib` looks for a cycle.  The
+    first acyclic order wins, with graphlib's order of the combined
+    relation as the v-order."""
+    nz, npts = len(grid.z_parts), len(grid.pt_z)
+    one_edges = [(e.src, e.dst)
+                 for e in revealed_relation(ds, grid, tie_mode).edges]
+    z_dom = [(a, b) for a in range(nz) for b in range(nz)
+             if dominates(grid.z_parts[a], grid.z_parts[b])]
+    same_o, o_dom = [], []  # (i, j, z_i, z_j) per gated pair of points
+    for i in range(npts):
+        for j in range(npts):
+            zi, oi, zj, oj = grid.pt_z[i], grid.pt_o[i], \
+                grid.pt_z[j], grid.pt_o[j]
+            if oi == oj and zi != zj:
+                same_o.append((i, j, zi, zj))
+            elif dominates(grid.o_parts[oi], grid.o_parts[oj]):
+                o_dom.append((i, j, zi, zj))
+    explored = 0
+    for perm in itertools.permutations(range(nz)):
+        rank = {z: pos for pos, z in enumerate(perm)}
+        if any(rank[a] > rank[b] for a, b in z_dom):
+            continue
+        explored += 1
+        # (z, o) -> (z', o) when z is above z'; (z, o) -> (z', o') when o
+        # dominates o' and z is at or above z'
+        edges = one_edges \
+            + [(i, j) for i, j, zi, zj in same_o if rank[zi] < rank[zj]] \
+            + [(i, j) for i, j, zi, zj in o_dom if rank[zi] <= rank[zj]]
+        preds = {j: set() for j in range(npts)}
+        for i, j in edges:
+            preds[j].add(i)
+        try:
+            v_order = tuple(graphlib.TopologicalSorter(preds).static_order())
+        except graphlib.CycleError:
+            continue
+        return TestVerdict(perm, v_order, "oracle", explored, grid.mode)
+    return TestVerdict(None, None, "oracle", explored, grid.mode)
 
 
 def exhaustive_level_separation(gadgets: list, offsets: list,

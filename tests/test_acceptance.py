@@ -229,7 +229,7 @@ def test_criterion_6_cross_level_dominance():
         offsets = sorted({o.x[-1] for o in ds.observations})
         level_of_offset = {off: l + 1 for l, off in enumerate(offsets)}
         point_level = [level_of_offset[o[-1]] for _, o in grid.points]
-        for obs, src in zip(ds.observations, grid.sources(ds)):
+        for obs, src in zip(ds.observations, grid.rows(ds).points):
             for j in range(len(grid.points)):
                 if point_level[j] < obs.clause:
                     ok = ok and (src, j) in has_edge

@@ -13,7 +13,8 @@ from seprat.rpcore import (GRID_MODES, GridError, RelationError,
                            revealed_relation, strongly_connected_components,
                            to_dot, topological_order)
 from seprat.septest import decide_cegar
-from tests.conftest import SINGLE_CLAUSE, random_foreign_dataset
+from tests.conftest import (SINGLE_CLAUSE, SLOT_CONFLICT,
+                            random_foreign_dataset)
 
 F = Fraction
 
@@ -97,18 +98,16 @@ class TestBuildGrid:
 
 
 def assert_grid_maps(ds, grid):
-    """`locate`, `sources`, `columns` and `z_index` against the points."""
+    """`locate`, `locate_z`, `rows` and `columns` against the points."""
     for row in ds.observations + ds.evaluation_points:
         j = grid.locate(row.x)
         assert grid.points[j] == (row.x[:ds.n_z], row.x[ds.n_z:])
         assert grid.z_parts[grid.pt_z[j]] == row.x[:ds.n_z]
         assert grid.o_parts[grid.pt_o[j]] == row.x[ds.n_z:]
-    assert grid.sources(ds) == tuple(grid.locate(o.x)
-                                     for o in ds.observations)
     # the rows recorded at build time: each observation's point and the
     # distinct prices its price splits into, in first-appearance order
     rows = grid.rows(ds)
-    assert rows.points == grid.sources(ds)
+    assert rows.points == tuple(grid.locate(o.x) for o in ds.observations)
     for obs, j, zi, oi in zip(ds.observations, rows.points, rows.z_price,
                               rows.o_price):
         assert j == grid.locate(obs.x)
@@ -121,23 +120,23 @@ def assert_grid_maps(ds, grid):
     # an equal but distinct dataset is read again, to the same rows
     copy = dataclasses.replace(ds)
     assert copy is not ds
-    assert grid.sources(copy) == grid.sources(ds)
     assert grid.rows(copy) == rows
     assert len(grid.columns) == len(grid.o_parts)
     for o, col in enumerate(grid.columns):
-        assert col == [j for j, oj in enumerate(grid.pt_o) if oj == o]
-    assert [grid.z_index[part] for part in grid.z_parts] == \
+        assert col == tuple(j for j, oj in enumerate(grid.pt_o) if oj == o)
+    assert [grid.locate_z(part) for part in grid.z_parts] == \
         list(range(len(grid.z_parts)))
-    # an unseen bundle is off the grid, and `sources` names the first
+    # an unseen bundle is off the grid, and `rows` names the first
     # observation that holds one
     off = (F(99),) * ds.goods
     assert grid.locate(off) is None
+    assert grid.locate_z(off[:ds.n_z]) is None
     rows = list(ds.observations)
     rows[1] = dataclasses.replace(rows[1], x=off)
     rows[-1] = dataclasses.replace(rows[-1], x=off)
     with pytest.raises(RelationError,
                        match="observation 1 bundle is not on the grid"):
-        grid.sources(dataclasses.replace(ds, observations=tuple(rows)))
+        grid.rows(dataclasses.replace(ds, observations=tuple(rows)))
 
 
 class TestGridMaps:
@@ -164,7 +163,7 @@ class TestGridMaps:
                 assert_grid_maps(ds, grid)
 
     def test_callers_cannot_change_the_recorded_rows(self, single_clause):
-        # reversing the list `sources` handed out once flipped the next
+        # reversing the list the grid handed out once flipped the next
         # decision on this grid to not-rationalizable
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
@@ -172,7 +171,30 @@ class TestGridMaps:
         assert all(isinstance(getattr(rows, f.name), tuple)
                    for f in dataclasses.fields(rows))
         with pytest.raises(AttributeError):
-            grid.sources(ds).reverse()
+            rows.points.reverse()
+        assert decide_cegar(ds, grid, "strict").rationalizable
+
+    @pytest.mark.parametrize("text", [SINGLE_CLAUSE, SLOT_CONFLICT],
+                             ids=["single-clause", "slot-conflict"])
+    def test_callers_cannot_change_the_grid(self, text):
+        # the grid's sequences were its decision's own lists: reversing
+        # pt_z, pt_o, z_parts or o_parts flipped the next strict decision
+        # on these grids to not-rationalizable, and a point dropped from a
+        # column still gave an accepted verdict
+        ds = reduce_formula(cnf.parse_dimacs(text))
+        grid = build_grid(ds)
+        for name in ("pt_z", "pt_o", "z_parts", "o_parts"):
+            with pytest.raises(AttributeError):
+                getattr(grid, name).reverse()
+        with pytest.raises(AttributeError):
+            grid.columns[0].pop()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            grid.pt_z = grid.pt_z[::-1]
+        public = [f.name for f in dataclasses.fields(grid)
+                  if not f.name.startswith("_")]
+        assert not [name for name in public
+                    if isinstance(getattr(grid, name), (list, dict))]
+        assert all(isinstance(col, tuple) for col in grid.columns)
         assert decide_cegar(ds, grid, "strict").rationalizable
 
     def test_parts_of_two_levels_make_no_point(self):
@@ -183,7 +205,7 @@ class TestGridMaps:
                    for c in (1, 2)]
         z, o = next(iter(level_z[0] - level_z[1])), \
             ds.observations[-1].x[ds.n_z:]
-        assert z in grid.z_index and o in grid.o_index
+        assert grid.locate_z(z) is not None and o in grid.o_parts
         assert grid.locate(z + o) is None
 
 
@@ -227,13 +249,14 @@ class TestRevealedRelation:
     def test_edge_names_the_observation_that_reveals_it(self, single_clause):
         ds = reduce_formula(single_clause)
         grid = build_grid(ds)
+        points = grid.points
         for tie_mode in ("strict", "weak"):
             graph = revealed_relation(ds, grid, tie_mode)
             assert graph.edges
             for e in graph.edges:
                 obs = ds.observations[e.obs]
-                assert grid.points[e.src] == (obs.x[:ds.n_z], obs.x[ds.n_z:])
-                z, o = grid.points[e.dst]
+                assert points[e.src] == (obs.x[:ds.n_z], obs.x[ds.n_z:])
+                z, o = points[e.dst]
                 cost, budget = dot(obs.p, z + o), dot(obs.p, obs.x)
                 assert cost < budget or (tie_mode == "weak"
                                          and cost == budget)

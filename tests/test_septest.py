@@ -20,14 +20,14 @@ from seprat.rpcore import (RelationError, build_grid,
                            find_cycle_in_adjacency, revealed_relation,
                            topological_order)
 from seprat.septest import (GuardExceeded, SeparabilityWitness, _Arena,
-                            WitnessConstructionError, decide,
+                            WitnessCheck, WitnessConstructionError, decide,
                             decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             witness_from_json, witness_to_json)
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
                             WEAK_TIE_COUNTEREXAMPLE, dominates,
-                            pairwise_verify_witness, random_foreign_dataset,
-                            random_fraction)
+                            oracle_decide, pairwise_verify_witness,
+                            random_foreign_dataset, random_fraction)
 
 F = Fraction
 
@@ -187,6 +187,24 @@ class TestDecide:
                 assert verify_witness(ds, grid, vb.witness, tie).valid
                 assert verify_witness(ds, grid, vc.witness, tie).valid
 
+    def test_decide_agrees_with_an_oracle_that_shares_only_the_grid(self):
+        # the deciders above share the arena, so an arena edge too many
+        # would pass them; the oracle builds its own edges
+        rng = random.Random(43)
+        rejected = 0
+        for _ in range(300):
+            ds = random_foreign_dataset(rng)
+            grid = build_grid(ds)
+            for tie in ("strict", "weak"):
+                oracle = oracle_decide(ds, grid, tie)
+                assert decide(ds, tie).status == oracle.status, (tie, ds)
+                rejected += not oracle.rationalizable
+                if oracle.rationalizable:
+                    assert pairwise_verify_witness(ds, grid, oracle.witness,
+                                                   tie).valid
+        # both outcomes are well covered: 183 of the 600 are rejected
+        assert 100 <= rejected <= 500
+
     def test_pure_choice_cycle_needs_no_refinement(self):
         # each choice strictly overspends on the other: the affordability
         # edges alone close a cycle before any ordering is considered
@@ -339,8 +357,8 @@ class TestConstructionSemantics:
         grid = build_grid(ds)
         arena = _Arena(ds, grid, "strict")
         bp = base_points(3)
-        zi = grid.z_index
-        pinned = [(zi[bp.z[(v, 1)]], zi[bp.z[(v, 2)]]) for v in (1, 2, 3)]
+        zi = grid.locate_z
+        pinned = [(zi(bp.z[(v, 1)]), zi(bp.z[(v, 2)])) for v in (1, 2, 3)]
         constraints = pinned + arena.z_dom_pairs
         slot_pt = {}
         for o in ds.observations:
@@ -379,9 +397,9 @@ class TestConstructionSemantics:
         grid = build_grid(ds)
         arena = _Arena(ds, grid, "strict")
         bp = base_points(3)
-        zi = grid.z_index
+        zi = grid.locate_z
         for a, b in ((1, 2), (2, 3), (3, 1)):
-            upper, lower = zi[bp.z[(a, 2)]], zi[bp.z[(b, 1)]]
+            upper, lower = zi(bp.z[(a, 2)]), zi(bp.z[(b, 1)])
             for pin in ((upper, lower), (lower, upper)):
                 perm, _, _ = _cegar_search(arena, extra_units=[pin])
                 assert perm is not None, (a, b, pin)
@@ -417,10 +435,10 @@ class TestVerifyWitness:
     def test_inverted_dominance_pair_is_rejected(self, single_clause):
         ds, grid, witness = self.fixture(single_clause)
         bp = base_points(3)
-        zi = grid.z_index
-        shifted = zi[(bp.z[(2, 1)][0] + ds.epsilon,
-                      bp.z[(2, 1)][1] + ds.epsilon)]
-        base = zi[bp.z[(2, 1)]]
+        zi = grid.locate_z
+        shifted = zi((bp.z[(2, 1)][0] + ds.epsilon,
+                      bp.z[(2, 1)][1] + ds.epsilon))
+        base = zi(bp.z[(2, 1)])
         u = list(witness.u_order)
         a, b = u.index(shifted), u.index(base)
         u[a], u[b] = u[b], u[a]
@@ -435,6 +453,22 @@ class TestVerifyWitness:
         assert not verify_witness(ds, grid, bad_u, "strict").valid
         bad_v = SeparabilityWitness(witness.u_order, (0,))
         assert not verify_witness(ds, grid, bad_v, "strict").valid
+
+    @pytest.mark.parametrize("entry", [1.0, "1"])
+    def test_order_entries_that_are_no_index_rejected(self, single_clause,
+                                                      entry):
+        # 1.0 == 1, so a float once passed the permutation check and then
+        # indexed a list; a string made the sort raise
+        ds, grid, witness = self.fixture(single_clause)
+        u = tuple(entry if z == 1 else z for z in witness.u_order)
+        v = tuple(entry if j == 1 else j for j in witness.v_order)
+        for broken, reason in (
+                (SeparabilityWitness(u, witness.v_order),
+                 "u-order is not a permutation of z-parts"),
+                (SeparabilityWitness(witness.u_order, v),
+                 "v-order is not a permutation of grid points")):
+            assert verify_witness(ds, grid, broken, "strict") == \
+                WitnessCheck(False, reason)
 
     # One hand-made case per violation family.  Each witness breaks only
     # its own family, so both checkers must name it whatever order they
@@ -462,7 +496,7 @@ class TestVerifyWitness:
         a, b = (F(1), F(0)), (F(0), F(1))
         ds, grid, pt = self.two_column_dataset(
             (F(0), F(1), F(0)), (F(1), F(3), F(1)), (F(1), F(0), F(1)))
-        u = tuple(grid.z_index[z] for z in (b, a))
+        u = tuple(grid.locate_z(z) for z in (b, a))
         good = (pt(b, 1), pt(b, 0), pt(a, 1), pt(a, 0))
         assert verify_witness(ds, grid, SeparabilityWitness(u, good),
                               "strict").valid
@@ -478,7 +512,7 @@ class TestVerifyWitness:
         a, b = (F(1), F(0)), (F(0), F(2))
         ds, grid, pt = self.two_column_dataset(
             (F(1), F(0), F(0)), (F(1), F(1), F(1)), (F(0), F(2), F(1)))
-        u = tuple(grid.z_index[z] for z in (a, b))
+        u = tuple(grid.locate_z(z) for z in (a, b))
         good = (pt(a, 1), pt(b, 1), pt(a, 0), pt(b, 0))
         for tie in ("strict", "weak"):
             assert verify_witness(ds, grid, SeparabilityWitness(u, good),
@@ -518,7 +552,7 @@ class TestVerifyWitness:
                                                p=(F(1), F(1))),),
                      evaluation_points=(EvaluationPoint(x=(F(1), F(0))),))
         grid = build_grid(ds)
-        upper, lower = (grid.z_index[(F(v),)] for v in (2, 1))
+        upper, lower = (grid.locate_z((F(v),)) for v in (2, 1))
         witness = SeparabilityWitness((lower, upper), (0, 1))
         self.assert_family(ds, grid, witness, "strict",
                            f"dominated z-part pair ({upper}, {lower})")
@@ -555,11 +589,12 @@ def _moved_above(ds, grid, witness, rng, count):
     column bound is then closest to the budget."""
     v = witness.v_order
     vrank = {j: r for r, j in enumerate(v)}
+    points, sources = grid.points, grid.rows(ds).points
     out = []
     for k in rng.sample(range(len(ds.observations)),
                         min(count, len(ds.observations))):
-        obs, src = ds.observations[k], grid.sources(ds)[k]
-        costs = {j: dot(obs.p, sum(grid.points[j], ()))
+        obs, src = ds.observations[k], sources[k]
+        costs = {j: dot(obs.p, sum(points[j], ()))
                  for col in grid.columns
                  if min(vrank[j] for j in col) > vrank[src] for j in col}
         affordable = [j for j, c in costs.items() if c <= dot(obs.p, obs.x)]
@@ -748,7 +783,7 @@ class TestIntegerChecker:
             assert len(z_prices) + len(o_prices) < len(ds.observations)
             calls.clear()
             assert verify_witness(ds, grid, witness, "strict").valid
-            assert calls == [grid.z_parts + grid.o_parts,
+            assert calls == [list(grid.z_parts + grid.o_parts),
                              z_prices + o_prices], mode
 
     def test_hostile_inputs_raise(self, single_clause):
@@ -780,10 +815,10 @@ class TestTruthAssignmentToWitness:
         w = truth_assignment_to_witness(single_clause, ds, grid, a, "strict")
         assert verify_witness(ds, grid, w, "strict").valid
         bp = base_points(3)
-        zi = grid.z_index
+        zi = grid.locate_z
         ranks = {z: pos for pos, z in enumerate(w.u_order)}
         for v in (1, 2, 3):
-            assert ranks[zi[bp.z[(v, 2)]]] < ranks[zi[bp.z[(v, 1)]]]
+            assert ranks[zi(bp.z[(v, 2)])] < ranks[zi(bp.z[(v, 1)])]
 
     def test_negated_literal_swaps_the_pinned_pair(self):
         f = cnf.parse_dimacs("p cnf 3 1\n-1 2 3 0\n")
@@ -793,10 +828,10 @@ class TestTruthAssignmentToWitness:
         w = truth_assignment_to_witness(f, ds, grid, a, "strict")
         assert verify_witness(ds, grid, w, "strict").valid
         bp = base_points(3)
-        zi = grid.z_index
+        zi = grid.locate_z
         ranks = {z: pos for pos, z in enumerate(w.u_order)}
         # x1 false pins the first bundle of variable 1 above the second
-        assert ranks[zi[bp.z[(1, 1)]]] < ranks[zi[bp.z[(1, 2)]]]
+        assert ranks[zi(bp.z[(1, 1)])] < ranks[zi(bp.z[(1, 2)])]
 
     def test_two_clause_satisfiable_formula(self):
         f = cnf.parse_dimacs("p cnf 4 2\n1 2 3 0\n1 2 4 0\n")
@@ -1282,8 +1317,8 @@ class TestSparseRefinement:
         pins = []
         if falsify:  # the first base bundle of each variable above its second
             bp = base_points(f.var_count)
-            zi = grid.z_index
-            pins = [(zi[bp.z[(v, 1)]], zi[bp.z[(v, 2)]])
+            zi = grid.locate_z
+            pins = [(zi(bp.z[(v, 1)]), zi(bp.z[(v, 2)]))
                     for v in range(1, f.var_count + 1)]
         septest._cegar_search(arena, pins)
         assert len(blocks) == len(cuts) == 1
@@ -1469,6 +1504,8 @@ def test_witness_json_round_trip(single_clause):
     ({"u_order": [True], "v_order": [3]}, "u_order"),
     ({"u_order": [1], "v_order": ["3"]}, "v_order"),
     ({"u_order": [1], "v_order": "3"}, "v_order"),
+    ([], "witness must be a JSON object"),
+    ({"u_order": [0]}, "witness has no v_order"),
 ])
 def test_witness_from_json_accepts_only_integers(doc, field):
     # int() would coerce each of these into a plausible witness
