@@ -13,7 +13,8 @@ Bundles, parts and prices are found by integer keys (`_key`), so no
 lookup hashes a `Fraction`.  `rows` records each observation's point and
 the indices of its distinct z- and o-price; the grid keeps the records
 of the dataset it was built from, so a decision keys each bundle and
-each price once, in `build_grid`.
+each price once, in `build_grid`.  The dataset's shape is checked once,
+here: `build_grid` checks each bundle's length, and `rows` each price's.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 
-from .numerics import dot
+from .numerics import DimensionMismatch, dot
 from .reduction import Dataset
 
 log = logging.getLogger(__name__)
@@ -70,13 +71,17 @@ class ObservationRows:
 
 def _observation_rows(ds: Dataset, n_z: int, points: list) -> ObservationRows:
     """`ds`'s records from its observations' points, in row order; the
-    error names the first observation whose bundle is off the grid."""
+    errors name the first observation whose bundle is off the grid, then
+    the first whose price and bundle differ in length."""
     if None in points:
         raise RelationError(
             f"observation {points.index(None)} bundle is not on the grid")
     z_ids, o_ids, z_prices, o_prices = {}, {}, [], []
     z_price, o_price = [], []
-    for obs in ds.observations:
+    for k, obs in enumerate(ds.observations):
+        if len(obs.p) != len(obs.x):
+            raise DimensionMismatch(f"observation {k} price dimension "
+                                    f"{len(obs.p)} vs bundle {len(obs.x)}")
         key = _key(obs.p)
         z_price.append(_index(z_ids, z_prices, key[:n_z], tuple(obs.p[:n_z])))
         o_price.append(_index(o_ids, o_prices, key[n_z:], tuple(obs.p[n_z:])))
@@ -153,6 +158,12 @@ def build_grid(ds: Dataset, mode: str = "per-level-union") -> Grid:
     n_z = ds.n_z
     bundles = [(o.x, o.clause) for o in ds.observations] \
         + [(e.x, e.clause) for e in ds.evaluation_points]
+    for r, (x, _) in enumerate(bundles):
+        if len(x) != ds.goods:
+            what = f"observation {r} bundle" if r < len(ds.observations) \
+                else f"evaluation point {r - len(ds.observations)}"
+            raise DimensionMismatch(
+                f"{what} dimension {len(x)} vs {ds.goods} goods")
     keys = [_key(x) for x, _ in bundles]
 
     if mode == "per-level-union" and bundles \

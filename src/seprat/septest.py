@@ -19,9 +19,9 @@ code with the deciders re-verifies every witness before it is returned.
 One decider runs in production: it probes brute force's first u-order,
 then learns a blocking clause from each cycle in a lazy SAT encoding
 (CEGAR).  It and brute force, the tests' oracle, both work on the
-envelope's components: the strongly connected components of the graph
-between o-columns that links each column to every column some edge
-family could reach from it under some u-order.  No cycle leaves one, so
+envelope's components: the strongly connected components of a graph
+between o-columns that holds, under every u-order, each edge family's
+step from column to column (`_Arena`).  No cycle leaves one, so
 point edges are built only inside them, and a witness's v-order lists the
 components in topological order of the condensation, each in its own
 order.  The arena runs on integers alone, on one scale: the grid's z- and
@@ -58,7 +58,6 @@ from operator import mul
 
 from . import cnf as cnf_mod
 from . import satcore
-from .numerics import DimensionMismatch
 from .reduction import Dataset, base_points
 from .rpcore import (TIE_MODES, Grid, RelationError, build_grid,
                      find_cycle_in_adjacency, strongly_connected_components,
@@ -127,23 +126,25 @@ class _Arena:
     """Order-independent precomputation for one (dataset, grid, tie mode),
     built between o-columns first and between points second.
 
-    The column graph links each observation's column to every column whose
-    cheapest point it affords, and each column to every column whose
-    o-part its own dominates.  One scale holds every cost: the grid's
-    parts are integers over one common denominator D, and all distinct
-    prices of the grid's rows (`Grid.rows`) over one P, so every z-cost,
-    o-cost and budget is an integer over P * D, and a point's cost is
-    the plain sum of its z-cost and o-cost.  Costs come from one vector
-    per distinct z-price and per distinct o-price (`_cost_vector`), so
-    an observation whose price repeats an earlier one's takes no new
-    inner product, and no cost or comparison touches a `Fraction`.
-    Dominance between parts is found on the scaled parts from sorted
-    coordinates (`_dominated_pairs`), with no pairwise comparison.
-    Every edge of the combined relation, under any u-order, runs along
-    that graph (2-edges stay inside one column), so its strongly
-    connected components hold every cycle.  `comp` labels each point by
-    its column's component; `strongly_connected_components` numbers them
-    in reverse topological order of the condensation.
+    The column graph links each column to every column whose o-part its own
+    dominates, and each observation's column to every column o with
+    `o_cost[o] < budget - z_least` (or `==` under weak ties), for z_least
+    the least z-cost over all z-parts at the observation's z-price: no
+    point of column o costs less than o_cost[o] + z_least.  One scale holds
+    every cost: the grid's parts are integers over one common denominator
+    D, and all distinct prices of the grid's rows (`Grid.rows`) over one P,
+    so every z-cost, o-cost and budget is an integer over P * D, and a
+    point's cost is the plain sum of its z-cost and o-cost.  Costs come
+    from one vector per distinct z-price and per distinct o-price
+    (`_cost_vector`), so an observation whose price repeats an earlier
+    one's takes no new inner product, and no cost or comparison touches a
+    `Fraction`.  Dominance between parts is found on the scaled parts from
+    sorted coordinates (`_dominated_pairs`), with no pairwise comparison.
+    Every edge of the combined relation, under any u-order, runs along that
+    graph (2-edges stay inside one column), so its strongly connected
+    components hold every cycle.  `comp` labels each point by its column's
+    component; `strongly_connected_components` numbers them in reverse
+    topological order of the condensation.
 
     Point edges are built only inside components.  Dominance edges come
     from each dominating pair of columns in one component: each point of
@@ -152,10 +153,7 @@ class _Arena:
     1-edges, as the successor sets `fixed`; those across distinct z-parts
     are candidates gated by a single rank comparison.  2-edges within an
     o-column are realized as the rank-consecutive chain, which has the
-    same reachability as the full family.
-
-    Points and o-columns are the grid's; `col_zs` holds each column's
-    sorted z-part indices for `_relevant_pairs`.
+    same reachability as the full family.  Points and o-columns are the grid's.
     """
 
     def __init__(self, ds: Dataset, grid: Grid, tie_mode: str):
@@ -169,45 +167,30 @@ class _Arena:
         # sum would weigh its two halves differently
         parts = _lcd_scaled(grid.z_parts + grid.o_parts)
         z_parts, o_parts = parts[:nz], parts[nz:]
-        if len({len(v) for v in z_parts}) > 1 \
-                or len({len(v) for v in o_parts}) > 1:
-            raise DimensionMismatch("grid parts differ in length")
 
         dominating = _dominated_pairs(o_parts)
         between = [set() for _ in o_parts]
         for a, b in dominating:
             between[a].add(b)
-        # a column's cheapest point has its least z-cost; per-level grids
-        # share one z-part set among the columns of a level
-        self.col_zs = [tuple(sorted(pt_z[j] for j in pts))
-                       for pts in grid.columns]
-        z_sets, col_set = {}, []
-        for zs in self.col_zs:
-            col_set.append(z_sets.setdefault(zs, len(z_sets)))
-        # compiled data repeats its prices, so each cost vector (and each
-        # z-cost's least value per z-part set) is taken once per distinct
-        # price of the grid's rows; all prices share one denominator P, so
-        # every cost below is on the one P * D scale
+        # compiled data repeats its prices, so each cost vector and its
+        # least z-cost is taken once per distinct price of the grid's rows;
+        # all prices share one denominator P, so every cost below is on
+        # the one P * D scale
         rows = grid.rows(ds)
-        for obs in ds.observations:
-            if len(obs.p) != len(obs.x):
-                raise DimensionMismatch(
-                    f"dimension {len(obs.p)} vs {len(obs.x)}")
         prices = _lcd_scaled(rows.z_prices + rows.o_prices)
         cut = len(rows.z_prices)
         z_costs = [_cost_vector(p, z_parts) for p in prices[:cut]]
         o_costs = [_cost_vector(p, o_parts) for p in prices[cut:]]
-        z_least = [[min(z_cost[z] for z in zs) for zs in z_sets]
-                   for z_cost in z_costs]
+        z_least = [min(z_cost) for z_cost in z_costs]
         revealed = []
         for src, zi, oi in zip(rows.points, rows.z_price, rows.o_price):
             z_cost, o_cost = z_costs[zi], o_costs[oi]
             budget = z_cost[pt_z[src]] + o_cost[pt_o[src]]
-            slack = [budget - least for least in z_least[zi]]
+            # no point of column o costs less than o_cost[o] + z_least[zi]
+            slack = budget - z_least[zi]
             reach = between[pt_o[src]]
-            for o, s in enumerate(col_set):
-                cost = o_cost[o]
-                if cost < slack[s] or (weak and cost == slack[s]):
+            for o, cost in enumerate(o_cost):
+                if cost < slack or (weak and cost == slack):
                     reach.add(o)
             revealed.append((src, z_cost, o_cost, budget))
 
@@ -283,8 +266,8 @@ def _lcd_scaled(vectors: list) -> list:
 
 def _cost_vector(price: tuple, parts: list) -> list:
     """The cost of each of the integer `parts` at the integer `price`, on
-    the one scale of every cost (the parts' D times the prices' P); the
-    caller has checked that the lengths agree."""
+    the one scale of every cost (the parts' D times the prices' P);
+    `build_grid` has checked that the lengths agree."""
     return [sum(map(mul, price, part)) for part in parts]
 
 
@@ -346,15 +329,16 @@ def decide_bruteforce(ds: Dataset, grid: Grid,
 
 def _relevant_pairs(arena: _Arena, units) -> set:
     """The unordered z-part pairs (a, b), a < b, whose order can gate an
-    edge of a cycle: pairs that share an o-column in a component holding a
-    frozen edge (every cycle holds a 1-edge, and 1-edges are frozen), the
-    pairs of inner dominance candidates, and the pairs of `units`.  No
-    other pair's order changes whether the relation has a cycle."""
-    comp = arena.comp
+    edge of a cycle: pairs that share a column of `Grid.columns` in a
+    component holding a frozen edge (every cycle holds a 1-edge, and
+    1-edges are frozen), the pairs of inner dominance candidates, and the
+    pairs of `units`.  No other pair's order changes whether the relation
+    has a cycle."""
+    comp, pt_z = arena.comp, arena.grid.pt_z
     cyclic = {comp[s] for s, dsts in enumerate(arena.fixed) if dsts}
     # the columns of one level, or of a full-product grid, share a z-set
-    z_sets = {zs for zs, pts in zip(arena.col_zs, arena.grid.columns)
-              if comp[pts[0]] in cyclic}
+    z_sets = {tuple(sorted(pt_z[j] for j in pts))
+              for pts in arena.grid.columns if comp[pts[0]] in cyclic}
     pairs = set()
     for zs in z_sets:
         pairs.update(itertools.combinations(zs, 2))
@@ -609,8 +593,6 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
     nz, npts = len(grid.z_parts), len(grid.pt_z)
     parts = _scaled(grid.z_parts + grid.o_parts)
     zs, os_ = parts[:nz], parts[nz:]
-    if len({len(v) for v in zs}) > 1 or len({len(v) for v in os_}) > 1:
-        raise DimensionMismatch("grid parts differ in length")
     if not _is_permutation(witness.u_order, nz):
         return WitnessCheck(False, "u-order is not a permutation of z-parts")
     if not _is_permutation(witness.v_order, npts):
@@ -639,9 +621,6 @@ def verify_witness(ds: Dataset, grid: Grid, witness: SeparabilityWitness,
 
     pt_z, pt_o = grid.pt_z, grid.pt_o
     rows = grid.rows(ds)
-    for obs in ds.observations:
-        if len(obs.p) != len(obs.x):
-            raise DimensionMismatch(f"dimension {len(obs.p)} vs {len(obs.x)}")
 
     # each o-column's points best first, and the columns in the order of
     # their best points: those with a point above an observation's chosen

@@ -29,7 +29,7 @@ from seprat.rpcore import build_grid, revealed_relation
 from seprat.septest import (decide, decide_bruteforce, decide_cegar,
                             truth_assignment_to_witness, verify_witness,
                             WitnessConstructionError)
-from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE,
+from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, oracle_decide,
                             pairwise_verify_witness, random_foreign_dataset)
 
 CORPUS_SEED = 20260811
@@ -242,6 +242,8 @@ def test_criterion_6_cross_level_dominance():
 
 
 def test_criterion_7_decider_equivalence():
+    # brute force shares the arena with the refinement decider; the
+    # oracle shares only the grid, so it also catches a wrong arena edge
     rng = random.Random(CORPUS_SEED + 7)
     disagreements = 0
     runs = 0
@@ -249,21 +251,23 @@ def test_criterion_7_decider_equivalence():
         ds = random_foreign_dataset(rng)
         grid = build_grid(ds, "full-product")
         tie = rng.choice(["strict", "weak"])
-        vb = decide_bruteforce(ds, grid, tie)
         vc = decide_cegar(ds, grid, tie)
-        disagreements += vb.status != vc.status
+        disagreements += vc.status != decide_bruteforce(ds, grid, tie).status
+        disagreements += vc.status != oracle_decide(ds, grid, tie).status
         runs += 1
     for _ in range(20):
         formula = cnf.random_formula(rng, rng.randint(3, 5), 1)
         ds = reduce_formula(formula)
         grid = build_grid(ds)
-        vb = decide_bruteforce(ds, grid, "strict")
         vc = decide_cegar(ds, grid, "strict")
-        disagreements += vb.status != vc.status
+        disagreements += vc.status != decide_bruteforce(ds, grid,
+                                                        "strict").status
+        disagreements += vc.status != oracle_decide(ds, grid, "strict").status
         runs += 1
     ok = disagreements == 0 and runs == 100
     report(7, "decider equivalence", ok,
-           f"{runs} datasets, {disagreements} disagreements")
+           f"{runs} datasets, {disagreements} disagreements with brute "
+           f"force or the oracle")
     assert ok
 
 

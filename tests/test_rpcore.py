@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
-from seprat.numerics import dot
+from seprat.numerics import DimensionMismatch, dot
 from seprat.reduction import (CHAIN_EDGES, Dataset, EvaluationPoint,
                               Observation, reduce_formula)
 from seprat.rpcore import (GRID_MODES, GridError, RelationError,
@@ -95,6 +95,39 @@ class TestBuildGrid:
     def test_unknown_mode(self, single_clause):
         with pytest.raises(GridError):
             build_grid(reduce_formula(single_clause), "cartesian")
+
+    def test_raises_on_bundles_of_different_lengths(self):
+        # each price matches its own bundle, but the second bundle and the
+        # evaluation point do not match the dataset's goods; the error
+        # names the first bundle that differs
+        obs = (Observation(x=(F(1), F(2), F(3)), p=(F(1), F(1), F(1))),
+               Observation(x=(F(2), F(1), F(1), F(1)),
+                           p=(F(1), F(1), F(1), F(1))))
+        ev = EvaluationPoint(x=(F(1), F(1)))
+        ds = Dataset(n_z=2, n_o=1, observations=obs, evaluation_points=(ev,))
+        for mode in GRID_MODES:
+            with pytest.raises(DimensionMismatch, match="observation 1 "
+                               "bundle dimension 4 vs 3 goods"):
+                build_grid(ds, mode)
+            with pytest.raises(DimensionMismatch, match="evaluation point 0 "
+                               "dimension 2 vs 3 goods"):
+                build_grid(dataclasses.replace(ds, observations=obs[:1]),
+                           mode)
+
+    def test_raises_on_a_price_of_another_length(self):
+        # checked for every row, at build time and for a dataset read
+        # against the grid later, naming the first row that differs
+        x, p = (F(1), F(2), F(3)), (F(1), F(1), F(1))
+        ds = Dataset(n_z=2, n_o=1, evaluation_points=(),
+                     observations=(Observation(x=x, p=p),) * 3)
+        short = dataclasses.replace(ds, observations=(
+            Observation(x=x, p=p), Observation(x=x, p=p[:2]),
+            Observation(x=x, p=p + p)))
+        message = "observation 1 price dimension 2 vs bundle 3"
+        with pytest.raises(DimensionMismatch, match=message):
+            build_grid(short)
+        with pytest.raises(DimensionMismatch, match=message):
+            build_grid(ds).rows(short)
 
 
 def assert_grid_maps(ds, grid):
