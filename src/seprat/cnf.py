@@ -37,15 +37,15 @@ class Clause:
         if len(self.literals) != 3:
             raise FormulaError(
                 f"clause must have exactly 3 literals, got {len(self.literals)}")
-        variables = [v for v, _ in self.literals]
-        if any(v < 1 for v in variables):
-            raise FormulaError(f"variable index below 1 in {variables}")
-        if len(set(variables)) != 3:
-            raise FormulaError(f"clause variables not distinct: {variables}")
+        (a, _), (b, _), (c, _) = self.literals
+        if a < 1 or b < 1 or c < 1:
+            raise FormulaError(f"variable index below 1 in {[a, b, c]}")
+        if a == b or a == c or b == c:
+            raise FormulaError(f"clause variables not distinct: {[a, b, c]}")
 
     @staticmethod
     def from_ints(lits) -> "Clause":
-        return Clause(tuple((abs(l), l < 0) for l in lits))
+        return Clause(tuple([(abs(l), l < 0) for l in lits]))
 
     def to_ints(self) -> tuple[int, int, int]:
         return tuple(-v if neg else v for v, neg in self.literals)
@@ -78,7 +78,8 @@ def parse_dimacs(text: str) -> CnfFormula:
     clauses: list[Clause] = []
     pending: list[int] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
@@ -125,7 +126,7 @@ def parse_dimacs(text: str) -> CnfFormula:
                         f"trailing garbage after {header[1]} clauses", lineno)
                 pending.append(lit)
 
-    last = len(text.splitlines())
+    last = len(lines)
     if header is None:
         raise DimacsError("missing header", max(last, 1))
     if pending:

@@ -18,12 +18,25 @@ the same instance always gives the same verdict, model and conflict count.
 Every model is checked against every input and added clause before it is
 returned (learned clauses follow from them), and a conflict budget turns a
 runaway search into `BudgetExhausted` instead of a wrong verdict.
+
+`Solver` searches the numbering it is given, which the refinement loop of
+the separability decider relies on: its order instances keep their
+lexicographic pair numbering.  `solve`, the one-shot entry behind `seprat
+sat` and `verify`, first puts the variables in occurrence order, the
+static start of Chaff's VSIDS and of Jeroslow-Wang: it renumbers them by
+decreasing occurrence count (lowest index among equals, so unused ones
+come last) and negates each that occurs more often positive than
+negative, so that "False first" tries its more frequent sign.  It maps
+the model back and checks it against the given clauses; its conflict
+budget counts the conflicts of the renumbered search.
 """
 
 from __future__ import annotations
 
 import logging
+from array import array
 from dataclasses import dataclass, field
+from itertools import chain
 
 log = logging.getLogger(__name__)
 
@@ -78,6 +91,16 @@ class SatInstance:
             raise InstanceError("clauses must be a sequence") from None
         object.__setattr__(self, "clauses", tuple(clauses))
         object.__setattr__(self, "tautologies", frozenset(tautologies))
+
+
+def _trusted(var_count: int, clauses: tuple[tuple[int, ...], ...],
+             tautologies: frozenset) -> SatInstance:
+    """An instance of clauses that are already checked, left unchecked."""
+    inst = object.__new__(SatInstance)
+    object.__setattr__(inst, "var_count", var_count)
+    object.__setattr__(inst, "clauses", clauses)
+    object.__setattr__(inst, "tautologies", tautologies)
+    return inst
 
 
 @dataclass
@@ -340,5 +363,46 @@ class Solver:
 
 
 def solve(inst: SatInstance, conflict_limit: int | None = None) -> SatResult:
-    """Solve a fresh instance; sound and complete within the budget."""
-    return Solver(inst, conflict_limit).solve()
+    """Solve a fresh instance in occurrence order; sound and complete within
+    the budget, which counts the conflicts of the renumbered search.
+
+    Variable i of the search is the i-th most frequent variable of `inst`
+    (lowest index among equals, so unused ones come last), negated when it
+    occurs more often positive than negative; "False first" then tries the
+    more frequent sign.  The model is mapped back and checked against the
+    clauses of `inst`.
+    """
+    n = inst.var_count
+    # count[q] for a literal q; a negative index counts from the end
+    count = [0] * (2 * n + 1)
+    for q in chain.from_iterable(inst.clauses):
+        count[q] += 1
+    occurrences = [count[v] + count[-v] for v in range(n + 1)]
+    # sorted() is stable under reverse=True, so ties keep index order
+    order = sorted(range(1, n + 1), key=occurrences.__getitem__, reverse=True)
+    # image[q] is the search's literal for q, indexed as count is; an array
+    # holds no int objects
+    image = array("i", [0]) * (2 * n + 1)
+    for new, v in enumerate(order, 1):
+        if count[v] > count[-v]:  # more often positive
+            new = -new
+        image[v], image[-v] = new, -new
+    del count, occurrences, order  # before the solver's own arrays
+    clauses = tuple([tuple([image[q] for q in cl]) for cl in inst.clauses])
+    result = Solver(_trusted(n, clauses, inst.tautologies),
+                    conflict_limit).solve()
+    if result.model is not None:
+        model = result.model = _mapped_back(result.model, image)
+        true = {v if b else -v for v, b in enumerate(model, 1)}
+        violated = next(filter(true.isdisjoint, inst.clauses), None)
+        if violated is not None:
+            raise RuntimeError(
+                f"internal error: model violates clause {list(violated)}")
+    return result
+
+
+def _mapped_back(searched: list[bool], image) -> list[bool]:
+    """The model of the renumbered search read in the original numbering:
+    v takes the value of its search literal `image[v]`."""
+    return [searched[q - 1] if q > 0 else not searched[-q - 1]
+            for q in image[1:len(searched) + 1]]

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -309,3 +310,106 @@ class TestBranching:
         solver = ScanCheckedSolver(pigeonhole(6, 5))
         assert solver.solve().status == "unsat"
         assert solver.flushed_picks > 0 and solver.tied_picks > 0
+
+
+def satisfiable(var_count, clauses):
+    """Brute force over int-literal clauses of any length."""
+    return any(all(any(bits[abs(q) - 1] == (q > 0) for q in cl)
+                   for cl in clauses)
+               for bits in itertools.product((False, True), repeat=var_count))
+
+
+def mixed_formula(rng):
+    """Clauses of 1 to 4 literals drawn with replacement, so that units,
+    repeated literals and tautologies occur, over some of the variables;
+    the first variable drawn only ever occurs positively."""
+    var_count = rng.randint(3, 12)
+    used = rng.sample(range(1, var_count + 1), rng.randint(2, var_count))
+    pure = used[0]
+    clauses = []
+    for _ in range(rng.randint(1, 4 * var_count)):
+        vs = rng.choices(used, k=rng.choice((1, 2, 3, 3, 3, 4)))
+        clauses.append([v if v == pure or rng.random() < 0.5 else -v
+                        for v in vs])
+    return var_count, clauses
+
+
+class TestOccurrenceOrder:
+    def test_statuses_match_the_given_numbering_and_brute_force(self):
+        rng = random.Random(35)
+        seen = {"unit": 0, "tautology": 0, "repeat": 0, "unused": 0,
+                "sat": 0, "unsat": 0}
+        for _ in range(300):
+            var_count, clauses = mixed_formula(rng)
+            inst = SatInstance(var_count, clauses)
+            seen["unit"] += any(len(cl) == 1 for cl in inst.clauses)
+            seen["tautology"] += bool(inst.tautologies)
+            seen["repeat"] += any(len(set(cl)) < len(cl) for cl in clauses)
+            seen["unused"] += len({abs(q) for cl in clauses for q in cl}) \
+                < var_count
+            res = solve(inst)
+            seen[res.status] += 1
+            assert res.status == Solver(inst).solve().status
+            assert (res.status == "sat") == satisfiable(var_count, clauses)
+            if res.status == "sat":
+                assert len(res.model) == var_count
+                check_model(clauses, res.model)
+        assert min(seen.values()) >= 30, seen
+        for _ in range(100):  # and on 3SAT, against the formula oracle
+            f = cnf.random_formula(rng, rng.randint(3, 12), rng.randint(1, 50))
+            clauses = [c.to_ints() for c in f.clauses]
+            inst = SatInstance(f.var_count, clauses)
+            res = solve(inst)
+            assert res.status == Solver(inst).solve().status
+            assert (res.status == "sat") == (cnf.brute_force_sat(f) is not None)
+            if res.status == "sat":
+                assert cnf.evaluate(f, dict(enumerate(res.model, 1)))
+
+    def test_busiest_variable_first_at_its_more_frequent_sign(
+            self, monkeypatch):
+        # occurrences: 3 three times (twice positive), 2 twice (positive),
+        # 4 and 5 twice (once each way), 1 never; 2, 4 and 5 tie, so they
+        # keep index order, and only 3 and 2 change sign
+        given = []
+
+        def recording(instance, conflict_limit):
+            given.append(instance)
+            return Solver(instance, conflict_limit)
+
+        monkeypatch.setattr(satcore, "Solver", recording)
+        inst = SatInstance(5, [[3, 2], [3, -4], [-3, 4], [2], [5, -5]])
+        res = solve(inst)
+        (searched,) = given
+        assert searched.var_count == 5
+        assert searched.clauses == ((-1, -2), (-1, -3), (1, 3), (-2,),
+                                    (4, -4))
+        assert searched.tautologies == inst.tautologies == {4}
+        assert res.model == [False, True, True, True, False]
+
+    def test_model_is_mapped_back_exactly(self):
+        # 1 occurs only positively and 2 only negatively, so their first
+        # tries satisfy every clause; 4 and 5 are unused and read False
+        inst = SatInstance(5, [[1, -2], [1, 3], [-2, -3]])
+        assert solve(inst).model == [True, False, False, False, False]
+        # Solver itself searches the numbering it is given
+        assert Solver(inst).solve().model == [False, False, True, False,
+                                              False]
+
+    def test_budget_counts_conflicts_of_the_renumbered_search(self):
+        _, inst = pinned_formula(9)  # 40 conflicts in the given numbering
+        assert solve(inst, conflict_limit=28).status == "unsat"
+        with pytest.raises(BudgetExhausted):
+            solve(inst, conflict_limit=27)
+        with pytest.raises(BudgetExhausted):
+            Solver(inst, conflict_limit=28).solve()
+
+    def test_wrong_back_map_is_an_internal_error(self, monkeypatch):
+        inst = SatInstance(5, [[1, -2], [1, 3], [-2, -3]])
+        mapped_back = satcore._mapped_back
+        monkeypatch.setattr(
+            satcore, "_mapped_back",
+            lambda searched, image: [not b for b in
+                                     mapped_back(searched, image)])
+        with pytest.raises(RuntimeError,
+                           match=r"internal error: model violates clause"):
+            solve(inst)
