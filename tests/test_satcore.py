@@ -250,6 +250,48 @@ def test_search_is_pinned(seed, status, conflicts, learned, digest):
         assert cnf.evaluate(f, dict(enumerate(res.model, 1)))
 
 
+# the same, for the same formulas under `solve`, which searches in
+# occurrence order; the conflicts and learned clauses are read from the one
+# Solver it builds, whatever it passes to it
+PINNED_SOLVE = [
+    (0, "sat", 0, 0, "663e9feb2b83fc0c"), (1, "sat", 0, 0, "6aa2524627da21af"),
+    (2, "sat", 1, 1, "973caac46d141cf0"), (3, "sat", 1, 1, "c5aa167ddaa8ae4e"),
+    (4, "sat", 14, 14, "b2d5a9ce3085c2db"), (5, "sat", 10, 10, "4063316d0d06df86"),
+    (6, "sat", 3, 3, "ec9f7dc4a3513c11"), (7, "sat", 1, 1, "3aba25fe4366eae7"),
+    (8, "sat", 0, 0, "e5a2159e519f7903"), (9, "unsat", 28, 27, None),
+    (10, "unsat", 36, 35, None), (11, "unsat", 19, 18, None),
+    (12, "sat", 2, 2, "fefb9665c4fa7b04"), (13, "unsat", 12, 11, None),
+    (14, "unsat", 14, 13, None), (15, "sat", 4, 4, "2ee9122ce85e8503"),
+    (16, "unsat", 14, 13, None), (17, "sat", 1, 1, "0344cfccae068d0c"),
+    (18, "unsat", 11, 10, None), (19, "sat", 4, 4, "794a4efab0005eb8"),
+    (20, "sat", 8, 8, "1233f48f5ee8f968"), (21, "unsat", 19, 18, None),
+    (22, "sat", 8, 8, "e620a1eb94e680f7"), (23, "sat", 1, 1, "65c199d34a39a221"),
+    (24, "sat", 13, 13, "03aacdb19c80f75f"), (25, "unsat", 13, 12, None),
+    (26, "sat", 18, 18, "6955bf785df0f707"), (27, "unsat", 38, 37, None),
+    (28, "sat", 3, 3, "7c3da896f825f247"), (29, "unsat", 25, 24, None),
+]
+
+
+@pytest.mark.parametrize("seed,status,conflicts,learned,digest", PINNED_SOLVE)
+def test_solve_is_pinned(monkeypatch, seed, status, conflicts, learned,
+                         digest):
+    made = []
+
+    def recording(*args, **kwargs):
+        made.append(Solver(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(satcore, "Solver", recording)
+    f, inst = pinned_formula(seed)
+    res = solve(inst)
+    (solver,) = made
+    assert (res.status, solver.conflicts) == (status, conflicts)
+    assert len(solver.clauses) - len(inst.clauses) == learned
+    if status == "sat":
+        assert hashlib.sha256(bytes(res.model)).hexdigest()[:16] == digest
+        assert cnf.evaluate(f, dict(enumerate(res.model, 1)))
+
+
 class ScanCheckedSolver(Solver):
     """Checks each branching pick against a full scan of the variables: the
     free one of highest activity, lowest index first.  Counts the picks
