@@ -29,9 +29,9 @@ EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
-# the solver, its occurrence-order renumbering and the model's JSON take
-# about 0.4 KB per declared variable (a 74 MB peak, the child's ru_maxrss,
-# for `p cnf 131072 1`), so a wider header stops before any instance
+# the solver, its branching priority and the model's JSON take about
+# 0.4 KB per declared variable (a 75 MB peak, the child's ru_maxrss, for
+# `p cnf 131072 1`), so a wider header stops before any instance
 MAX_SAT_VARIABLES = 1 << 17
 
 
@@ -153,14 +153,12 @@ def cmd_export_dot(args) -> int:
 
 
 def _budget(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        value = None
-    if value is None or value < 0:
+    # ASCII digits alone: int() would also read a sign, surrounding space,
+    # digit separators and the digits of other scripts
+    if not (text.isascii() and text.isdigit()):
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {text!r}")
-    return value
+    return int(text)
 
 
 @functools.cache

@@ -9,32 +9,29 @@ and backtracks write both polarities.  Watch lists and reasons hold the
 clause lists themselves.
 
 The search is deterministic: branching picks the free variable with the
-highest activity, breaking ties toward the lowest index, and always tries
-False first.  Activities change only in conflict analysis, which always
-backtracks, and variables are freed only by backtracking; so the variables
-are sorted by activity once per backtrack, and each decision advances a
-cursor to the first free one.  There are no restarts and no randomness, so
-the same instance always gives the same verdict, model and conflict count.
-Every model is checked against every input and added clause before it is
-returned (learned clauses follow from them), and a conflict budget turns a
-runaway search into `BudgetExhausted` instead of a wrong verdict.
+highest activity, breaking ties by a priority order (index order unless
+given), and tries its first literal (False unless given).  Activities
+change only in conflict analysis, which always backtracks, and variables
+are freed only by backtracking; so the variables are sorted by activity
+once per backtrack, and each decision advances a cursor to the first free
+one.  There are no restarts and no randomness, so the same instance always
+gives the same verdict, model and conflict count.  Every model is checked
+against every input and added clause before it is returned (learned
+clauses follow from them), and a conflict budget turns a runaway search
+into `BudgetExhausted` instead of a wrong verdict.
 
-`Solver` searches the numbering it is given, which the refinement loop of
-the separability decider relies on: its order instances keep their
-lexicographic pair numbering.  `solve`, the one-shot entry behind `seprat
-sat` and `verify`, first puts the variables in occurrence order, the
-static start of Chaff's VSIDS and of Jeroslow-Wang: it renumbers them by
-decreasing occurrence count (lowest index among equals, so unused ones
-come last) and negates each that occurs more often positive than
-negative, so that "False first" tries its more frequent sign.  It maps
-the model back and checks it against the given clauses; its conflict
-budget counts the conflicts of the renumbered search.
+The refinement loop of the separability decider keeps the default order.
+`solve`, the one-shot entry behind `seprat sat` and `verify`, starts in
+occurrence order, the static start of Chaff's VSIDS and of Jeroslow-Wang.
+As in Chaff and MiniSat, order and polarity are solver state: the
+variables keep their numbers.
 """
 
 from __future__ import annotations
 
 import logging
 from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -93,16 +90,6 @@ class SatInstance:
         object.__setattr__(self, "tautologies", frozenset(tautologies))
 
 
-def _trusted(var_count: int, clauses: tuple[tuple[int, ...], ...],
-             tautologies: frozenset) -> SatInstance:
-    """An instance of clauses that are already checked, left unchecked."""
-    inst = object.__new__(SatInstance)
-    object.__setattr__(inst, "var_count", var_count)
-    object.__setattr__(inst, "clauses", clauses)
-    object.__setattr__(inst, "tautologies", tautologies)
-    return inst
-
-
 @dataclass
 class SatResult:
     status: str  # "sat" | "unsat"
@@ -114,10 +101,12 @@ class Solver:
 
     Learned clauses are retained across incremental additions, which is
     what the counterexample-refinement loop in the separability decider
-    relies on.
+    relies on.  `priority` lists each variable once, as the literal it
+    tries first, in tie-break order; by default, -1, -2, ..., -n.
     """
 
-    def __init__(self, instance: SatInstance, conflict_limit: int | None = None):
+    def __init__(self, instance: SatInstance, conflict_limit: int | None = None,
+                 *, priority: Sequence[int] | None = None):
         n = self.n = instance.var_count
         self.conflict_limit = conflict_limit
         self.conflicts = 0
@@ -135,8 +124,18 @@ class Solver:
         self.qhead = 0
         self.activity: list[float] = [0.0] * (n + 1)
         self.act_inc = 1.0
-        # variables by activity, highest first, lowest index among equals;
-        # every variable before `cursor` is assigned; None after a backtrack
+        # the variables in tie-break order, and first[v], the code of the
+        # literal v tries first; arrays hold no int objects
+        self.priority = range(1, n + 1)
+        self.first = array("i", range(1, 2 * n + 2, 2))
+        if priority is not None:
+            self.priority = array("i", map(abs, priority))
+            for q in priority:
+                if q > 0:
+                    self.first[q] -= 1  # the code of q, not of -q
+        # variables by activity, highest first, earliest in the priority
+        # among equals; every variable before `cursor` is assigned; None
+        # after a backtrack
         self.order: list[int] | None = None
         self.cursor = 0
         self.units: list[int] = []
@@ -301,11 +300,13 @@ class Solver:
     # -- search ----------------------------------------------------------
 
     def _pick_branch(self) -> int | None:
-        """The free variable of highest activity, lowest index first."""
+        """The free variable of highest activity, earliest in the priority
+        among equals."""
         order = self.order
         if order is None:
-            # sorted() is stable under reverse=True, so ties keep index order
-            order = self.order = sorted(range(1, self.n + 1),
+            # sorted() is stable under reverse=True, so ties keep the
+            # priority's order
+            order = self.order = sorted(self.priority,
                                         key=self.activity.__getitem__,
                                         reverse=True)
             self.cursor = 0
@@ -350,7 +351,7 @@ class Solver:
                     self._verify(model)
                     return SatResult("sat", model)
                 self.trail_lim.append(len(self.trail))
-                self._enqueue(2 * var + 1, None)  # try False first
+                self._enqueue(self.first[var], None)
 
     def _verify(self, model: list[bool]) -> None:
         """Check `model` against every input and added clause."""
@@ -364,13 +365,11 @@ class Solver:
 
 def solve(inst: SatInstance, conflict_limit: int | None = None) -> SatResult:
     """Solve a fresh instance in occurrence order; sound and complete within
-    the budget, which counts the conflicts of the renumbered search.
+    the budget, which counts the conflicts of that search.
 
-    Variable i of the search is the i-th most frequent variable of `inst`
-    (lowest index among equals, so unused ones come last), negated when it
-    occurs more often positive than negative; "False first" then tries the
-    more frequent sign.  The model is mapped back and checked against the
-    clauses of `inst`.
+    The priority lists the variables by decreasing occurrence count (lowest
+    index among equals, so unused ones come last), each at the sign it
+    occurs at more often, and at False on a tie.
     """
     n = inst.var_count
     # count[q] for a literal q; a negative index counts from the end
@@ -380,29 +379,6 @@ def solve(inst: SatInstance, conflict_limit: int | None = None) -> SatResult:
     occurrences = [count[v] + count[-v] for v in range(n + 1)]
     # sorted() is stable under reverse=True, so ties keep index order
     order = sorted(range(1, n + 1), key=occurrences.__getitem__, reverse=True)
-    # image[q] is the search's literal for q, indexed as count is; an array
-    # holds no int objects
-    image = array("i", [0]) * (2 * n + 1)
-    for new, v in enumerate(order, 1):
-        if count[v] > count[-v]:  # more often positive
-            new = -new
-        image[v], image[-v] = new, -new
+    priority = array("i", [v if count[v] > count[-v] else -v for v in order])
     del count, occurrences, order  # before the solver's own arrays
-    clauses = tuple([tuple([image[q] for q in cl]) for cl in inst.clauses])
-    result = Solver(_trusted(n, clauses, inst.tautologies),
-                    conflict_limit).solve()
-    if result.model is not None:
-        model = result.model = _mapped_back(result.model, image)
-        true = {v if b else -v for v, b in enumerate(model, 1)}
-        violated = next(filter(true.isdisjoint, inst.clauses), None)
-        if violated is not None:
-            raise RuntimeError(
-                f"internal error: model violates clause {list(violated)}")
-    return result
-
-
-def _mapped_back(searched: list[bool], image) -> list[bool]:
-    """The model of the renumbered search read in the original numbering:
-    v takes the value of its search literal `image[v]`."""
-    return [searched[q - 1] if q > 0 else not searched[-q - 1]
-            for q in image[1:len(searched) + 1]]
+    return Solver(inst, conflict_limit, priority=priority).solve()

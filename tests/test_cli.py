@@ -145,13 +145,16 @@ class TestTest:
 def test_negative_budget_is_a_usage_error(capsys, tmp_path, cnf_file):
     dataset = tmp_path / "ds.json"
     assert run(capsys, "reduce", cnf_file, "-o", str(dataset))[0] == 0
+    # int() reads all but -1 as a budget; a sign, space, digit separator
+    # or a non-ASCII digit (an Arabic-Indic 3) is not ASCII digits alone
     for command, path in (("test", str(dataset)), ("sat", cnf_file),
                           ("verify", cnf_file)):
-        with pytest.raises(SystemExit) as exc:
-            cli.main([command, path, "--budget", "-1"])
-        err = capsys.readouterr().err
-        assert exc.value.code == 2, command
-        assert "--budget" in err and "Traceback" not in err
+        for budget in ("-1", "1_0", "\u0663", " 7", "+3", "7\n", ""):
+            with pytest.raises(SystemExit) as exc:
+                cli.main([command, path, "--budget", budget])
+            err = capsys.readouterr().err
+            assert exc.value.code == 2, (command, budget)
+            assert "--budget" in err and "Traceback" not in err
 
 
 def test_json_commands_print_one_line(capsys, tmp_path, cnf_file):

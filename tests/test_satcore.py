@@ -319,7 +319,61 @@ class ScanCheckedSolver(Solver):
         return pick
 
 
+class PriorityScanCheckedSolver(Solver):
+    """Checks each branching pick against a full scan of `priority`: the
+    free variable of highest activity, earliest in it among equals, and
+    each decision against the sign it lists."""
+
+    def __init__(self, instance, priority):
+        super().__init__(instance, priority=priority)
+        self.listed = list(priority)
+        self.picks = self.tied_picks = self.true_first = 0
+        self.want = None
+
+    def _pick_branch(self):
+        pick = super()._pick_branch()
+        activity = self.activity
+        free = [q for q in self.listed if self.vals[2 * abs(q)] == 0]
+        # max() keeps the first of equal keys
+        best = max(free, key=lambda q: activity[abs(q)], default=None)
+        assert pick == (None if best is None else abs(best))
+        self.want = best
+        if free:
+            self.picks += 1
+            self.tied_picks += sum(activity[abs(q)] == activity[pick]
+                                   for q in free) > 1
+        return pick
+
+    def _enqueue(self, code, reason):
+        if reason is None and self.trail_lim \
+                and len(self.trail) == self.trail_lim[-1]:  # a decision
+            q = self.want
+            assert code == (2 * q if q > 0 else 1 - 2 * q)
+            self.true_first += q > 0
+        super()._enqueue(code, reason)
+
+
 class TestBranching:
+    def test_priority_picks_as_its_scan_does(self):
+        # shuffled variables at random signs: the pinned formulas, and
+        # pigeonhole for picks among tied activities
+        rng = random.Random(37)
+        instances = [pinned_formula(seed)[1] for seed, *_ in PINNED_SEARCH]
+        picks = tied_picks = true_first = 0
+        for inst in instances + [pigeonhole(5, 4)]:
+            priority = [v if rng.random() < 0.5 else -v
+                        for v in rng.sample(range(1, inst.var_count + 1),
+                                            inst.var_count)]
+            solver = PriorityScanCheckedSolver(inst, priority)
+            res = solver.solve()
+            assert res.status == Solver(inst).solve().status
+            if res.status == "sat":
+                check_model(inst.clauses, res.model)
+            picks += solver.picks
+            tied_picks += solver.tied_picks
+            true_first += solver.true_first
+        assert picks > true_first > 0 and tied_picks > 0
+
     def test_pinned_searches_pick_as_the_scan_does(self):
         for seed, status, conflicts, _, _ in PINNED_SEARCH:
             solver = ScanCheckedSolver(pinned_formula(seed)[1])
@@ -411,21 +465,19 @@ class TestOccurrenceOrder:
             self, monkeypatch):
         # occurrences: 3 three times (twice positive), 2 twice (positive),
         # 4 and 5 twice (once each way), 1 never; 2, 4 and 5 tie, so they
-        # keep index order, and only 3 and 2 change sign
+        # keep index order, and only 3 and 2 are tried True first
         given = []
 
-        def recording(instance, conflict_limit):
-            given.append(instance)
-            return Solver(instance, conflict_limit)
+        def recording(*args, **kwargs):
+            given.append((args, kwargs))
+            return Solver(*args, **kwargs)
 
         monkeypatch.setattr(satcore, "Solver", recording)
         inst = SatInstance(5, [[3, 2], [3, -4], [-3, 4], [2], [5, -5]])
         res = solve(inst)
-        (searched,) = given
-        assert searched.var_count == 5
-        assert searched.clauses == ((-1, -2), (-1, -3), (1, 3), (-2,),
-                                    (4, -4))
-        assert searched.tautologies == inst.tautologies == {4}
+        ((args, kwargs),) = given
+        assert args[0] is inst  # the instance itself, not a copy
+        assert list(kwargs["priority"]) == [3, 2, -4, -5, -1]
         assert res.model == [False, True, True, True, False]
 
     def test_model_is_mapped_back_exactly(self):
@@ -444,14 +496,3 @@ class TestOccurrenceOrder:
             solve(inst, conflict_limit=27)
         with pytest.raises(BudgetExhausted):
             Solver(inst, conflict_limit=28).solve()
-
-    def test_wrong_back_map_is_an_internal_error(self, monkeypatch):
-        inst = SatInstance(5, [[1, -2], [1, 3], [-2, -3]])
-        mapped_back = satcore._mapped_back
-        monkeypatch.setattr(
-            satcore, "_mapped_back",
-            lambda searched, image: [not b for b in
-                                     mapped_back(searched, image)])
-        with pytest.raises(RuntimeError,
-                           match=r"internal error: model violates clause"):
-            solve(inst)
