@@ -73,10 +73,12 @@ CHAIN_EDGES = frozenset(
 
 _ONES2 = (Fraction(1), Fraction(1))
 
-# compute_epsilon_M compares all 2I base points pairwise, one inner product
-# per ordered pair, so compile time grows with the square of the declared
-# variable count: `reduce` on 128 variables and 3 clauses takes about 1.3 s
-# (Python 3.11, one core of a 2-vCPU machine)
+# The base points and compute_epsilon_M take O(I) exact operations, but
+# `_verify_level_separation` costs every z-part in use under every distinct
+# z-price in use, and both counts grow with I as well as L.  `reduce` on L
+# random clauses took 0.030, 1.3 and 3.2 s at I = 128 for L = 1, 100 and
+# 300, and 0.47, 6.2 and 48 s at I = 4096 (Python 3.11, one core of a
+# 2-vCPU machine); the guard stays until that check is O(L + I)
 MAX_VARIABLES = 128
 
 OFFSET_MODES = ("paper", "linear")
@@ -151,8 +153,9 @@ class Dataset:
 
 
 def base_points(count: int) -> BasePoints:
-    """Base bundles z^q_i with supporting prices, each costing 1 at its own
-    price (`compute_epsilon_M` checks that every cross cost exceeds 1)."""
+    """Base bundles z^q_i on xy = 1 with their supporting prices, so each
+    costs 1 at its own price (`compute_epsilon_M` checks both premises, and
+    that every cross cost exceeds 1)."""
     if count < 1:
         raise ConstructionError("need at least one variable")
     if count > MAX_VARIABLES:
@@ -164,29 +167,45 @@ def base_points(count: int) -> BasePoints:
         z[(i, 2)] = (Fraction(2 * i + 1, 2), Fraction(2, 2 * i + 1))
         p[(i, 1)] = (Fraction(1, 2 * i), Fraction(i, 2))
         p[(i, 2)] = (Fraction(1, 2 * i + 1), Fraction(2 * i + 1, 4))
-    for a in z:
-        if dot(p[a], z[a]) != 1:
-            raise ConstructionError(f"support price at {a} does not normalize")
     return BasePoints(count, z, p)
 
 
 def compute_epsilon_M(bp: BasePoints) -> GadgetConstants:
-    """Pick epsilon and M constructively, from one cross cost p_a . z_b
-    per ordered pair a != b and one price mass per base point.
+    """Pick epsilon and M constructively, from O(I) cross costs p_a . z_b
+    and one price mass per base point.
+
+    Premises, checked first: every base point is (x, 1/x) with x > 0, and
+    its price is the support price (1/(2x), x/2) of y = 1/x there.  Then
+    p_a . z_a = 1, and for a != b the cross cost is p_a . z_b =
+    (r + 1/r)/2 with r = x_b / x_a, which is symmetric in a and b and grows
+    with |log r|.  So in sorted order of x, the smallest cross cost is
+    between neighbours, and each source's largest is at the smallest or the
+    largest x; those pairs are the only ones costed.
 
     epsilon = delta / (2 S), for delta the smallest cross-cost excess over
     1 and S the largest price mass on (1,1); M is one more than the largest
-    epsilon-shifted cross cost.  If delta > 0 and every mass is positive,
-    each shift lies in (0, delta/2], so 1 < 1 + shift_a < p_a . z_b < M for
-    every pair: that is the one condition that can fail.
+    epsilon-shifted cross cost.  Every mass 1/(2x) + x/2 is at least 1, so
+    if delta > 0, each shift lies in (0, delta/2] and 1 < 1 + shift_a <
+    p_a . z_b < M for every pair: that is the one condition that can fail,
+    and it fails when two base points coincide.
     """
     pairs = bp.pairs()
-    cross = {(a, b): dot(bp.p[a], bp.z[b])
-             for a in pairs for b in pairs if a != b}
+    for a in pairs:
+        x, y = bp.z[a]
+        if x <= 0 or x * y != 1:
+            raise ConstructionError(f"base point {a} is not on xy = 1")
+        if bp.p[a] != (1 / (2 * x), x / 2):
+            raise ConstructionError(f"price at {a} is not the support price "
+                                    f"of xy = 1 there")
+    order = sorted(pairs, key=lambda a: bp.z[a][0])
+    ends = (order[0], order[-1])
+    needed = set(zip(order, order[1:])) | {
+        (a, b) for a in pairs for b in ends if a != b}
+    cross = {(a, b): dot(bp.p[a], bp.z[b]) for a, b in sorted(needed)}
     mass = {a: dot(bp.p[a], _ONES2) for a in pairs}
     a, b = min(cross, key=cross.get)
     delta = cross[a, b] - 1
-    if delta <= 0 or min(mass.values()) <= 0:
+    if delta <= 0:
         raise ConstructionError(f"epsilon gap fails for {a} vs {b}")
     epsilon = delta / (2 * max(mass.values()))
     M = 1 + max(c + epsilon * mass[src] for (src, _), c in cross.items())

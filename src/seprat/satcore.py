@@ -63,7 +63,9 @@ def _checked(clause, var_count: int) -> tuple[tuple[int, ...], bool]:
                                 f"within +-{var_count}")
         if -lit in lits:
             tautology = True
-    return tuple(dict.fromkeys(lits)), tautology
+    if len(set(lits)) < len(lits):
+        lits = tuple(dict.fromkeys(lits))
+    return lits, tautology
 
 
 @dataclass(frozen=True)

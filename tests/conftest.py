@@ -8,7 +8,7 @@ import pytest
 from seprat import cnf
 from seprat.numerics import DimensionMismatch, dot
 from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
-                              EvaluationPoint, Observation)
+                              EvaluationPoint, GadgetConstants, Observation)
 from seprat.rpcore import Grid, revealed_relation
 from seprat.septest import SeparabilityWitness, TestVerdict, WitnessCheck
 
@@ -179,6 +179,25 @@ def oracle_decide(ds: Dataset, grid: Grid,
             continue
         return TestVerdict(perm, v_order, "oracle", explored, grid.mode)
     return TestVerdict(None, None, "oracle", explored, grid.mode)
+
+
+def pairwise_epsilon_M(bp) -> GadgetConstants:
+    """Epsilon and M from one cross cost p_a . z_b per ordered pair a != b
+    of the 2I base points and one price mass per point: the oracle for
+    `seprat.reduction.compute_epsilon_M`, which assumes the hyperbola's
+    geometry to cost O(I) pairs.  Quadratic in I, so tests call it only at
+    a few sizes."""
+    pairs = bp.pairs()
+    cross = {(a, b): dot(bp.p[a], bp.z[b])
+             for a in pairs for b in pairs if a != b}
+    mass = {a: dot(bp.p[a], (Fraction(1), Fraction(1))) for a in pairs}
+    a, b = min(cross, key=cross.get)
+    delta = cross[a, b] - 1
+    if delta <= 0 or min(mass.values()) <= 0:
+        raise ConstructionError(f"epsilon gap fails for {a} vs {b}")
+    epsilon = delta / (2 * max(mass.values()))
+    M = 1 + max(c + epsilon * mass[src] for (src, _), c in cross.items())
+    return GadgetConstants(epsilon, M)
 
 
 def exhaustive_level_separation(gadgets: list, offsets: list,

@@ -273,8 +273,9 @@ class TestVerify:
 @pytest.mark.parametrize("command", ["reduce", "verify"])
 def test_variable_count_past_the_compile_guard_exits_4(capsys, tmp_path,
                                                        command):
-    # the compile compares base points pairwise, so a hostile header must
-    # stop at the guard instead of hanging
+    # compile time grows with the declared variable count (2I exact base
+    # points, and a level-separation check that grows with the variables in
+    # use), so a hostile header must stop at the guard instead of hanging
     path = tmp_path / "wide.cnf"
     path.write_text("p cnf 100000 1\n1 2 3 0\n")
     start = time.perf_counter()

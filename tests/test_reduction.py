@@ -18,7 +18,7 @@ from seprat.reduction import (AUXILIARY_SLOTS, CHAIN_EDGES, MAX_VARIABLES,
 from seprat.rpcore import TIE_MODES
 from seprat.septest import decide
 from tests.conftest import (ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT,
-                            exhaustive_level_separation)
+                            exhaustive_level_separation, pairwise_epsilon_M)
 
 F = Fraction
 ONES = (F(1), F(1))
@@ -107,10 +107,17 @@ class TestConstants:
                 assert 1 < 1 + gc.epsilon * mass < cross
                 assert cross + gc.epsilon * mass < gc.M
 
-    @pytest.mark.parametrize("count", [1, 2, 22])
+    @pytest.mark.parametrize("count", [*range(1, 17), 22, 64, 128])
+    def test_constants_match_the_pairwise_oracle(self, count):
+        bp = base_points(count)
+        assert compute_epsilon_M(bp) == pairwise_epsilon_M(bp)
+
+    @pytest.mark.parametrize("count", [1, 2, 22, 128])
     def test_each_cross_cost_is_taken_once(self, monkeypatch, count):
-        # one inner product per ordered pair of the 2I base points and one
-        # price mass per base point
+        # of the n = 2I base points in sorted order, the n - 1 neighbour
+        # pairs and each point against both ends, less the last neighbour
+        # pair, which is also an end pair: 3n - 4 cross costs, each taken
+        # once, and one price mass per base point
         bp = base_points(count)
         calls = []
 
@@ -121,7 +128,23 @@ class TestConstants:
         monkeypatch.setattr(reduction, "dot", counting)
         compute_epsilon_M(bp)
         n = 2 * count
-        assert len(calls) == n * (n - 1) + n
+        assert len(calls) == (3 * n - 4) + n
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("z", (F(2), F(1, 3)), r"base point \(2, 1\) is not on xy = 1"),
+        ("z", (F(-2), F(-1, 2)), r"base point \(2, 1\) is not on xy = 1"),
+        ("p", (F(1, 4), F(1, 2)),
+         r"price at \(2, 1\) is not the support price"),
+    ])
+    def test_a_broken_premise_is_named(self, field, value, message):
+        # the O(I) costing holds only on the hyperbola with its support
+        # prices; (2, 1) is (2, 1/2) with price (1/4, 1)
+        bp = base_points(3)
+        points = {"z": dict(bp.z), "p": dict(bp.p)}
+        points[field][(2, 1)] = value
+        bad = reduction.BasePoints(3, points["z"], points["p"])
+        with pytest.raises(ConstructionError, match=message):
+            compute_epsilon_M(bad)
 
     def test_coinciding_base_points_fail_the_epsilon_gap(self, monkeypatch,
                                                          single_clause):

@@ -480,16 +480,16 @@ class TestOccurrenceOrder:
         assert list(kwargs["priority"]) == [3, 2, -4, -5, -1]
         assert res.model == [False, True, True, True, False]
 
-    def test_model_is_mapped_back_exactly(self):
+    def test_each_pure_sign_is_tried_first(self):
         # 1 occurs only positively and 2 only negatively, so their first
         # tries satisfy every clause; 4 and 5 are unused and read False
         inst = SatInstance(5, [[1, -2], [1, 3], [-2, -3]])
         assert solve(inst).model == [True, False, False, False, False]
-        # Solver itself searches the numbering it is given
+        # Solver alone searches in index order, False first
         assert Solver(inst).solve().model == [False, False, True, False,
                                               False]
 
-    def test_budget_counts_conflicts_of_the_renumbered_search(self):
+    def test_budget_counts_conflicts_of_the_occurrence_order_search(self):
         _, inst = pinned_formula(9)  # 40 conflicts in the given numbering
         assert solve(inst, conflict_limit=28).status == "unsat"
         with pytest.raises(BudgetExhausted):
