@@ -75,10 +75,13 @@ _ONES2 = (Fraction(1), Fraction(1))
 
 # The base points and compute_epsilon_M take O(I) exact operations, but
 # `_verify_level_separation` costs every z-part in use under every distinct
-# z-price in use, and both counts grow with I as well as L.  `reduce` on L
-# random clauses took 0.030, 1.3 and 3.2 s at I = 128 for L = 1, 100 and
-# 300, and 0.47, 6.2 and 48 s at I = 4096 (Python 3.11, one core of a
-# 2-vCPU machine); the guard stays until that check is O(L + I)
+# z-price in use, and both counts grow with I as well as L.
+# `reduce_formula` on L random clauses took 0.017–0.026, 1.4–1.9 and
+# 3.2–4.0 s at I = 128 for L = 1, 100 and 300, and 0.54–1.1, 6.2–11.7 and
+# 67–74 s at I = 4096 (Python 3.11.7, one core of a 2-vCPU machine whose
+# speed varies about 1.5× between runs; measured at `8e9d119` and with the
+# zero-skipping `numerics.dot` that followed it, which moved none of these
+# beyond that spread); the guard stays until that check is O(L + I)
 MAX_VARIABLES = 128
 
 OFFSET_MODES = ("paper", "linear")

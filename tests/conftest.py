@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
-from seprat.numerics import DimensionMismatch, dot
+from seprat.numerics import DimensionMismatch
 from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
                               EvaluationPoint, GadgetConstants, Observation)
 from seprat.rpcore import Grid, revealed_relation
@@ -181,6 +181,13 @@ def oracle_decide(ds: Dataset, grid: Grid,
     return TestVerdict(None, None, "oracle", explored, grid.mode)
 
 
+def cost(p, x) -> Fraction:
+    """Sum of products over every coordinate, zeros included: the compile
+    oracles' own inner product, so they share no arithmetic with
+    `seprat.numerics.dot`."""
+    return sum((a * b for a, b in zip(p, x, strict=True)), Fraction(0))
+
+
 def pairwise_epsilon_M(bp) -> GadgetConstants:
     """Epsilon and M from one cross cost p_a . z_b per ordered pair a != b
     of the 2I base points and one price mass per point: the oracle for
@@ -188,9 +195,9 @@ def pairwise_epsilon_M(bp) -> GadgetConstants:
     geometry to cost O(I) pairs.  Quadratic in I, so tests call it only at
     a few sizes."""
     pairs = bp.pairs()
-    cross = {(a, b): dot(bp.p[a], bp.z[b])
+    cross = {(a, b): cost(bp.p[a], bp.z[b])
              for a in pairs for b in pairs if a != b}
-    mass = {a: dot(bp.p[a], (Fraction(1), Fraction(1))) for a in pairs}
+    mass = {a: cost(bp.p[a], (Fraction(1), Fraction(1))) for a in pairs}
     a, b = min(cross, key=cross.get)
     delta = cross[a, b] - 1
     if delta <= 0 or min(mass.values()) <= 0:
@@ -217,16 +224,16 @@ def exhaustive_level_separation(gadgets: list, offsets: list,
     level_z = [sorted(set(b[:Z_DIM] for b in g.bundles.values()))
                for g in gadgets]
     for obs in observations:
-        budget = dot(obs.p, obs.x)
+        budget = cost(obs.p, obs.x)
         pz, po, p_off = obs.p[:Z_DIM], obs.p[Z_DIM:-1], obs.p[-1]
-        o_costs = [dot(po, o) for o in o_parts]
+        o_costs = [cost(po, o) for o in o_parts]
         z_costs = {}
         for other, (zs, off) in enumerate(zip(level_z, offsets)):
             if other + 1 == obs.clause:
                 continue
             for z in zs:
                 if z not in z_costs:
-                    z_costs[z] = dot(pz, z)
+                    z_costs[z] = cost(pz, z)
                 base = z_costs[z] + p_off * off
                 if other + 1 < obs.clause and \
                         not all(base + oc < budget for oc in o_costs):

@@ -13,6 +13,10 @@ F = Fraction
 rationals = st.fractions(
     min_value=-100, max_value=100, max_denominator=50)
 
+# dense with zeros (int and Fraction), else a signed int or Fraction
+sparse_entries = st.one_of(
+    st.just(0), st.just(F(0)), st.integers(-9, 9), rationals)
+
 
 class TestDot:
     def test_support_price_cross_cost(self):
@@ -37,6 +41,16 @@ class TestDot:
         p, x, y = tuple(p[:n]), tuple(x[:n]), tuple(y[:n])
         xy = tuple(a + b for a, b in zip(x, y))
         assert dot(p, xy) == dot(p, x) + dot(p, y)
+
+    # a dot that dropped a nonzero term would still be bilinear; this
+    # compares with the full sum, on entries as sparse as compiled rows
+    @given(st.lists(st.tuples(sparse_entries, sparse_entries), max_size=9))
+    def test_sum_of_products(self, terms):
+        p = tuple(a for a, _ in terms)
+        x = tuple(b for _, b in terms)
+        total = dot(p, x)
+        assert type(total) is Fraction
+        assert total == sum(a * b for a, b in zip(p, x))
 
 
 class TestDominates:
