@@ -29,9 +29,10 @@ EXIT_INPUT = 2
 EXIT_NEGATIVE = 3
 EXIT_BUDGET = 4
 
-# the solver, its branching priority and the model's JSON take about
-# 0.4 KB per declared variable (a 75 MB peak, the child's ru_maxrss, for
-# `p cnf 131072 1`), so a wider header stops before any instance
+# the solver, its literal-code table and branching priority, and the
+# model's JSON take about 0.4 KB per declared variable (a 75 MB peak, the
+# child's ru_maxrss, for `p cnf 131072 1`; the code table adds 1 MB of
+# it), so a wider header stops before any instance
 MAX_SAT_VARIABLES = 1 << 17
 
 
@@ -102,19 +103,15 @@ def cmd_test(args) -> int:
     return EXIT_OK
 
 
-def _solve(formula: cnf.CnfFormula, budget: int | None) -> satcore.SatResult:
-    inst = satcore.SatInstance(
-        formula.var_count, [c.to_ints() for c in formula.clauses])
-    return satcore.solve(inst, budget)
-
-
 def cmd_sat(args) -> int:
-    formula = _load_formula(args.cnf)
-    if formula.var_count > MAX_SAT_VARIABLES:
+    # the int clauses go to the solver as read, with no `Clause` between
+    var_count, clauses = cnf.read_dimacs(_read(args.cnf))
+    if var_count > MAX_SAT_VARIABLES:
         raise reduction.SizeGuardExceeded(
-            f"{formula.var_count} variables exceeds the sat guard of "
+            f"{var_count} variables exceeds the sat guard of "
             f"{MAX_SAT_VARIABLES}")
-    result = _solve(formula, args.budget)
+    result = satcore.solve(satcore.SatInstance(var_count, clauses),
+                           args.budget)
     doc = {"status": result.status}
     if result.model is not None:
         doc["model"] = {str(v + 1): bool(val)
@@ -128,7 +125,9 @@ def cmd_sat(args) -> int:
 def cmd_verify(args) -> int:
     formula = _load_formula(args.cnf)
     ds = reduction.reduce_formula(formula, args.offset_mode)
-    satisfiable = _solve(formula, args.budget).status == "sat"
+    inst = satcore.SatInstance(
+        formula.var_count, [c.to_ints() for c in formula.clauses])
+    satisfiable = satcore.solve(inst, args.budget).status == "sat"
     verdict = septest.decide(ds, tie_mode=args.tie_mode,
                              conflict_limit=args.budget)
     agree = satisfiable == verdict.rationalizable

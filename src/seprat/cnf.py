@@ -3,12 +3,19 @@
 Clauses carry exactly three literals over three distinct variables; inputs
 that merge or complement variables inside one clause are rejected rather
 than normalized, because downstream constructions need the three slots.
+`_clause_fault` states that rule once; `Clause` applies it on construction.
+
+`read_dimacs` is the one DIMACS reader.  It checks the text (header, tokens,
+literal ranges, the clause rule, clause counts) and returns the clauses as
+int triples, which `seprat sat` hands to the solver as they are;
+`parse_dimacs` builds the `Clause`s of a `CnfFormula` from them.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain
 
 BRUTE_FORCE_VAR_LIMIT = 25
 
@@ -27,6 +34,20 @@ class EnumerationLimit(ValueError):
     """Brute force refused: too many variables to enumerate."""
 
 
+def _clause_fault(literals) -> str | None:
+    """Why a clause of `literals`, (variable, sign) pairs in slot order, is
+    no 3SAT clause, or None: the one rule that `Clause` and `read_dimacs`
+    apply."""
+    if len(literals) != 3:
+        return f"clause must have exactly 3 literals, got {len(literals)}"
+    (a, _), (b, _), (c, _) = literals
+    if a < 1 or b < 1 or c < 1:
+        return f"variable index below 1 in {[a, b, c]}"
+    if a == b or a == c or b == c:
+        return f"clause variables not distinct: {[a, b, c]}"
+    return None
+
+
 @dataclass(frozen=True)
 class Clause:
     """Three literals, stored as (variable, negated) pairs in slot order."""
@@ -34,14 +55,9 @@ class Clause:
     literals: tuple[tuple[int, bool], ...]
 
     def __post_init__(self):
-        if len(self.literals) != 3:
-            raise FormulaError(
-                f"clause must have exactly 3 literals, got {len(self.literals)}")
-        (a, _), (b, _), (c, _) = self.literals
-        if a < 1 or b < 1 or c < 1:
-            raise FormulaError(f"variable index below 1 in {[a, b, c]}")
-        if a == b or a == c or b == c:
-            raise FormulaError(f"clause variables not distinct: {[a, b, c]}")
+        fault = _clause_fault(self.literals)
+        if fault:
+            raise FormulaError(fault)
 
     @staticmethod
     def from_ints(lits) -> "Clause":
@@ -66,75 +82,107 @@ class CnfFormula:
                         f"variable {v} above declared count {self.var_count}")
 
 
-def parse_dimacs(text: str) -> CnfFormula:
-    """Parse the "p cnf I L" dialect with 0-terminated clauses.
+def read_dimacs(text: str) -> tuple[int, list[tuple[int, int, int]]]:
+    """The variable count and the clauses, as int-literal triples, of the
+    "p cnf I L" dialect with 0-terminated clauses: the one reader behind
+    `parse_dimacs` and `seprat sat`.
 
-    Comment lines (leading "c") and blank lines are allowed anywhere; a
-    clause may span lines.  Header counts and literals are ASCII integers
-    (`[+-]?[0-9]+`), header counts are validated against the body, and
-    errors carry the offending line number.
+    Lines end at "\\n" alone, so no other character splits a line or shifts
+    a line number; surrounding whitespace, a trailing "\\r" included, is
+    stripped.  Comment lines (leading "c") and blank lines are allowed
+    anywhere; a clause may span lines.  Header counts and literals are
+    ASCII integers (`[+-]?[0-9]+`), header counts are validated against
+    the body, and errors carry the offending line number.  A line that
+    holds one whole valid clause is converted in one step; any other line
+    goes token by token, which names the first fault.
     """
-    header: tuple[int, int] | None = None
-    clauses: list[Clause] = []
+    header = False
+    clauses: list[tuple[int, int, int]] = []
     pending: list[int] = []
 
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # a final "\n" ends the last line; it starts no other
+    # int() would read digit separators and non-ASCII digits; a text free
+    # of both is checked once here instead of line by line
+    plain = text.isascii() and "_" not in text
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line[0] == "c":
             continue
-        if not line.isascii() or "_" in line:
-            # int() would read digit separators and non-ASCII digits
+        # the raw line, since strip() also drops non-ASCII whitespace
+        if not plain and (not raw.isascii() or "_" in line):
             raise DimacsError(
                 f"non-ASCII character or '_' in {line!r}", lineno)
         if line[0] == "p":
-            if header is not None:
+            if header:
                 raise DimacsError("duplicate header", lineno)
             parts = line.split()
             if len(parts) != 4 or parts[1] != "cnf":
                 raise DimacsError(f"malformed header {line!r}", lineno)
             try:
-                var_count, clause_count = int(parts[2]), int(parts[3])
+                var_count, declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise DimacsError(f"malformed header {line!r}", lineno) from None
-            if var_count < 1 or clause_count < 0:
+            if var_count < 1 or declared < 0:
                 raise DimacsError(f"bad counts in header {line!r}", lineno)
-            header = (var_count, clause_count)
+            header = True
             continue
-        if header is None:
+        if not header:
             raise DimacsError(f"clause data before header: {line!r}", lineno)
-        for tok in line.split():
+        tokens = line.split()
+        if not pending and len(clauses) < declared:
+            try:
+                a, b, c, end = map(int, tokens)
+            except ValueError:  # not four int tokens
+                pass
+            else:
+                x, y, z = abs(a), abs(b), abs(c)
+                if not end and max(x, y, z) <= var_count \
+                        and _clause_fault(((x, a), (y, b), (z, c))) is None:
+                    clauses.append((a, b, c))
+                    continue
+        for tok in tokens:
             try:
                 lit = int(tok)
             except ValueError:
                 raise DimacsError(f"unexpected token {tok!r}", lineno) from None
             if lit == 0:
-                if len(clauses) >= header[1]:
+                if len(clauses) >= declared:
                     raise DimacsError(
-                        f"more clauses than the declared {header[1]}", lineno)
-                try:
-                    clauses.append(Clause.from_ints(pending))
-                except FormulaError as exc:
-                    raise DimacsError(str(exc), lineno) from None
+                        f"more clauses than the declared {declared}", lineno)
+                fault = _clause_fault([(abs(q), q) for q in pending])
+                if fault:
+                    raise DimacsError(fault, lineno)
+                clauses.append(tuple(pending))
                 pending = []
             else:
-                if abs(lit) > header[0]:
+                if abs(lit) > var_count:
                     raise DimacsError(
-                        f"literal {lit} out of range 1..{header[0]}", lineno)
-                if len(clauses) >= header[1]:
+                        f"literal {lit} out of range 1..{var_count}", lineno)
+                if len(clauses) >= declared:
                     raise DimacsError(
-                        f"trailing garbage after {header[1]} clauses", lineno)
+                        f"trailing garbage after {declared} clauses", lineno)
                 pending.append(lit)
 
     last = len(lines)
-    if header is None:
+    if not header:
         raise DimacsError("missing header", max(last, 1))
     if pending:
         raise DimacsError("unterminated clause at end of input", last)
-    if len(clauses) != header[1]:
+    if len(clauses) != declared:
         raise DimacsError(
-            f"header declares {header[1]} clauses, found {len(clauses)}", last)
-    return CnfFormula(header[0], tuple(clauses))
+            f"header declares {declared} clauses, found {len(clauses)}", last)
+    return var_count, clauses
+
+
+def parse_dimacs(text: str) -> CnfFormula:
+    """The formula of a DIMACS text, as read by `read_dimacs`."""
+    var_count, clauses = read_dimacs(text)
+    # every clause has three literals: (variable, negated) pairs in one
+    # pass, then taken three at a time
+    pairs = iter([(abs(q), q < 0) for q in chain.from_iterable(clauses)])
+    return CnfFormula(var_count, tuple(map(Clause, zip(pairs, pairs, pairs))))
 
 
 def evaluate(f: CnfFormula, assignment: dict[int, bool]) -> bool:

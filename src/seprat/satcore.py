@@ -1,12 +1,15 @@
 """Small complete SAT solver: watched-literal CDCL with first-UIP learning.
 
 A `SatInstance` is frozen: its clauses are int-literal tuples, checked once
-on construction (tautologies noted), and the solver trusts them.  Inside
-the solver a literal is a code: v is `2v` and -v is `2v + 1`, so `code ^ 1`
-negates it and `code >> 1` is its variable.  One value array, `vals[code]`,
-holds 1 when the literal is true, -1 when false, 0 when free; assignments
-and backtracks write both polarities.  Watch lists and reasons hold the
-clause lists themselves.
+on construction (tautologies noted), and the solver trusts them.  The one
+check, `_checked`, also serves `Solver.add_clause`: one bulk pass over all
+literals, with a literal-by-literal scan only to name the first fault.
+Inside the solver a literal is a code: v is `2v` and -v is `2v + 1`, so
+`code ^ 1` negates it and `code >> 1` is its variable; one table maps each
+literal to its code.  One value array, `vals[code]`, holds 1 when the
+literal is true, -1 when false, 0 when free; assignments and backtracks
+write both polarities.  Watch lists and reasons hold the clause lists
+themselves.
 
 The search is deterministic: branching picks the free variable with the
 highest activity, breaking ties by a priority order (index order unless
@@ -33,7 +36,8 @@ import logging
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, compress, repeat
+from operator import eq, ne, or_
 
 log = logging.getLogger(__name__)
 
@@ -49,23 +53,59 @@ class BudgetExhausted(RuntimeError):
     """Conflict budget ran out before a verdict was reached."""
 
 
-def _checked(clause, var_count: int) -> tuple[tuple[int, ...], bool]:
-    """The clause with repeated literals dropped, each an int (not a bool)
-    in 1..var_count or -var_count..-1, and whether it is a tautology."""
+def _checked(clauses, var_count: int) -> tuple[tuple[tuple[int, ...], ...],
+                                              frozenset]:
+    """The clauses as tuples of int literals (not bools) in 1..var_count or
+    -var_count..-1, each without repeated literals, and the indices of the
+    tautologies among them.
+
+    One bulk pass of C-level `map`, set and min/max work checks every
+    literal; it allocates nothing that grows with var_count.  Only when it
+    fails are the clauses scanned literal by literal, to name the first
+    fault.  A clause is rebuilt only when it repeats a literal.
+    """
     try:
-        lits = tuple(clause)
+        clauses = list(clauses)
     except TypeError:
-        raise InstanceError(f"clause {clause!r} is not a sequence") from None
-    tautology = False
-    for lit in lits:
-        if type(lit) is not int or lit == 0 or abs(lit) > var_count:
-            raise InstanceError(f"literal {lit!r} is not a nonzero int "
-                                f"within +-{var_count}")
-        if -lit in lits:
-            tautology = True
-    if len(set(lits)) < len(lits):
-        lits = tuple(dict.fromkeys(lits))
-    return lits, tautology
+        raise InstanceError("clauses must be a sequence") from None
+    lits: list[tuple] = []
+    try:
+        # extend keeps what it took before the first non-sequence
+        lits.extend(map(tuple, clauses))
+    except TypeError:
+        pass
+    flat = list(chain.from_iterable(lits))
+    if len(lits) == len(clauses) and {int}.issuperset(map(type, flat)):
+        variables = list(map(abs, flat))
+        valid = not flat or 0 < min(variables) and max(variables) <= var_count
+    else:
+        valid = False
+    if not valid:
+        for q in flat:
+            if type(q) is not int or q == 0 or abs(q) > var_count:
+                raise InstanceError(f"literal {q!r} is not a nonzero int "
+                                    f"within +-{var_count}")
+        raise InstanceError(f"clause {clauses[len(lits)]!r} is not a sequence")
+    # a clause repeats a variable where its variables are fewer than its
+    # literals: then it repeats a literal, is a tautology, or both.  When
+    # every clause has three literals, as in 3SAT, its three columns are
+    # compared instead
+    sizes = list(map(len, lits))
+    if sizes.count(3) == len(sizes):
+        a, b, c = variables[0::3], variables[1::3], variables[2::3]
+        repeats = map(or_, map(or_, map(eq, a, b), map(eq, a, c)),
+                      map(eq, b, c))
+    else:
+        repeats = map(ne, map(len, map(set, map(map, repeat(abs), lits))),
+                      sizes)
+    tautologies = set()
+    for i in compress(range(len(lits)), repeats):
+        distinct = set(lits[i])
+        if len(distinct) < sizes[i]:
+            lits[i] = tuple(dict.fromkeys(lits[i]))
+        if len(set(map(abs, distinct))) < len(distinct):
+            tautologies.add(i)
+    return tuple(lits), frozenset(tautologies)
 
 
 @dataclass(frozen=True)
@@ -79,17 +119,9 @@ class SatInstance:
         n = self.var_count
         if type(n) is not int or n < 0:
             raise InstanceError(f"variable count {n!r} is not an int >= 0")
-        clauses, tautologies = [], set()
-        try:
-            for cl in self.clauses:
-                lits, tautology = _checked(cl, n)
-                if tautology:
-                    tautologies.add(len(clauses))
-                clauses.append(lits)
-        except TypeError:
-            raise InstanceError("clauses must be a sequence") from None
-        object.__setattr__(self, "clauses", tuple(clauses))
-        object.__setattr__(self, "tautologies", frozenset(tautologies))
+        clauses, tautologies = _checked(self.clauses, n)
+        object.__setattr__(self, "clauses", clauses)
+        object.__setattr__(self, "tautologies", tautologies)
 
 
 @dataclass
@@ -112,10 +144,6 @@ class Solver:
         n = self.n = instance.var_count
         self.conflict_limit = conflict_limit
         self.conflicts = 0
-        self.clauses: list[list[int]] = []  # literal codes, see module doc
-        # the input clauses and those from add_clause, which every model
-        # must satisfy; learned clauses are their consequences
-        self.given: list[list[int]] = []
         self.watches: list[list[list[int]]] = [[] for _ in range(2 * n + 2)]
         # vals[code] is 1 if the literal is true, -1 if false, 0 if free
         self.vals: list[int] = [0] * (2 * n + 2)
@@ -140,23 +168,37 @@ class Solver:
         # after a backtrack
         self.order: list[int] | None = None
         self.cursor = 0
+        # code[q] is the code of literal q (a negative index counts from
+        # the end), the one table that encodes input and added clauses
+        self.code = array("i", range(0, 2 * n + 1, 2))
+        self.code.extend(range(2 * n + 1, 2, -2))
+        # `given` holds the input clauses and those from add_clause, which
+        # every model must satisfy, and `clauses` also the learned ones,
+        # their consequences; both hold the same lists, which propagation
+        # reorders
+        given = self.given = list(map(list, map(map, repeat(
+            self.code.__getitem__), instance.clauses)))
+        self.clauses = given.copy()
         self.units: list[int] = []
-        self.unsat = False
-        for ci, cl in enumerate(instance.clauses):
-            self._attach(cl, ci in instance.tautologies)
+        self.unsat = [] in given
+        watches, tautologies = self.watches, instance.tautologies
+        for ci, cl in enumerate(given):
+            if len(cl) > 1:
+                if ci not in tautologies:
+                    watches[cl[0]].append(cl)
+                    watches[cl[1]].append(cl)
+            elif cl:
+                self.units.append(cl[0])
 
     # -- clause database ------------------------------------------------
 
     def add_clause(self, clause) -> None:
-        cl, tautology = _checked(clause, self.n)
-        self._attach(cl, tautology)
-
-    def _attach(self, lits, tautology: bool = False) -> None:
-        """Encode a checked clause (int literals, none repeated), store it
-        and keep it among the clauses that `_verify` checks."""
-        cl = [2 * q if q > 0 else 1 - 2 * q for q in lits]
+        """Check a clause as `SatInstance` does, encode it and keep it among
+        the clauses that `_verify` checks."""
+        (lits,), tautologies = _checked((clause,), self.n)
+        cl = list(map(self.code.__getitem__, lits))
         self.given.append(cl)
-        self._store(cl, tautology)
+        self._store(cl, bool(tautologies))
 
     def _store(self, cl: list[int], tautology: bool = False) -> None:
         """Keep a clause of codes, which propagation reorders, then watch it

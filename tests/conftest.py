@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from seprat import cnf
+from seprat.cnf import DimacsError
 from seprat.numerics import DimensionMismatch
 from seprat.reduction import (_SLOT_O, Z_DIM, ConstructionError, Dataset,
                               EvaluationPoint, GadgetConstants, Observation)
 from seprat.rpcore import Grid, revealed_relation
+from seprat.satcore import InstanceError
 from seprat.septest import SeparabilityWitness, TestVerdict, WitnessCheck
 
 SINGLE_CLAUSE = "p cnf 3 1\n1 2 3 0\n"
@@ -245,3 +247,106 @@ def exhaustive_level_separation(gadgets: list, offsets: list,
                     raise ConstructionError(
                         f"level {obs.clause} observation k={obs.k} reaches "
                         f"into level {other + 1}")
+
+
+def token_by_token_dimacs(text: str) -> tuple[int, list[tuple[int, ...]]]:
+    """Every token of every line through one loop, with the same checks in
+    the same order: the oracle for `seprat.cnf.read_dimacs`, which must
+    give the same clauses, or raise the same message at the same line.
+    Lines end at "\\n" alone."""
+    header = None
+    clauses, pending = [], []
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] == "c":
+            continue
+        if not raw.isascii() or "_" in line:
+            raise DimacsError(
+                f"non-ASCII character or '_' in {line!r}", lineno)
+        if line[0] == "p":
+            if header is not None:
+                raise DimacsError("duplicate header", lineno)
+            parts = line.split()
+            if len(parts) != 4 or parts[1] != "cnf":
+                raise DimacsError(f"malformed header {line!r}", lineno)
+            try:
+                header = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise DimacsError(f"malformed header {line!r}", lineno) from None
+            if header[0] < 1 or header[1] < 0:
+                raise DimacsError(f"bad counts in header {line!r}", lineno)
+            continue
+        if header is None:
+            raise DimacsError(f"clause data before header: {line!r}", lineno)
+        for tok in line.split():
+            try:
+                lit = int(tok)
+            except ValueError:
+                raise DimacsError(f"unexpected token {tok!r}", lineno) from None
+            if lit == 0:
+                if len(clauses) >= header[1]:
+                    raise DimacsError(
+                        f"more clauses than the declared {header[1]}", lineno)
+                try:
+                    cnf.Clause.from_ints(pending)
+                except cnf.FormulaError as exc:
+                    raise DimacsError(str(exc), lineno) from None
+                clauses.append(tuple(pending))
+                pending = []
+            else:
+                if abs(lit) > header[0]:
+                    raise DimacsError(
+                        f"literal {lit} out of range 1..{header[0]}", lineno)
+                if len(clauses) >= header[1]:
+                    raise DimacsError(
+                        f"trailing garbage after {header[1]} clauses", lineno)
+                pending.append(lit)
+    last = len(lines)
+    if header is None:
+        raise DimacsError("missing header", max(last, 1))
+    if pending:
+        raise DimacsError("unterminated clause at end of input", last)
+    if len(clauses) != header[1]:
+        raise DimacsError(
+            f"header declares {header[1]} clauses, found {len(clauses)}", last)
+    return header[0], clauses
+
+
+def checked_clause(clause, var_count: int) -> tuple[tuple[int, ...], bool]:
+    """The clause with repeated literals dropped, each an int (not a bool)
+    in 1..var_count or -var_count..-1, and whether it is a tautology,
+    checked literal by literal: with `checked_instance`, the oracle for
+    the bulk check of `seprat.satcore.SatInstance` and `Solver.add_clause`,
+    which must raise the same message."""
+    try:
+        lits = tuple(clause)
+    except TypeError:
+        raise InstanceError(f"clause {clause!r} is not a sequence") from None
+    tautology = False
+    for lit in lits:
+        if type(lit) is not int or lit == 0 or abs(lit) > var_count:
+            raise InstanceError(f"literal {lit!r} is not a nonzero int "
+                                f"within +-{var_count}")
+        if -lit in lits:
+            tautology = True
+    if len(set(lits)) < len(lits):
+        lits = tuple(dict.fromkeys(lits))
+    return lits, tautology
+
+
+def checked_instance(var_count: int, clauses) -> tuple[tuple, frozenset]:
+    """`checked_clause` on each clause in turn: the clauses and the indices
+    of the tautologies among them."""
+    checked, tautologies = [], set()
+    try:
+        for cl in clauses:
+            lits, tautology = checked_clause(cl, var_count)
+            if tautology:
+                tautologies.add(len(checked))
+            checked.append(lits)
+    except TypeError:
+        raise InstanceError("clauses must be a sequence") from None
+    return tuple(checked), frozenset(tautologies)

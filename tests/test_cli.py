@@ -16,6 +16,7 @@ import pytest
 from seprat import __version__, cli, cnf, reduction, satcore, septest
 from seprat.reduction import dataset_from_json
 from tests.conftest import ALL_SIGN_PATTERNS, SINGLE_CLAUSE, SLOT_CONFLICT
+from tests.test_satcore import PINNED_SOLVE, pinned_formula
 
 
 @pytest.fixture
@@ -230,6 +231,28 @@ class TestSat:
         assert doc["model"]["1"] or doc["model"]["2"] or doc["model"]["3"]
 
 
+    @pytest.mark.parametrize("seed,status,digest",
+                             [(s, st, d) for s, st, _, _, d in PINNED_SOLVE])
+    def test_dimacs_front_end_keeps_the_pinned_search(self, capsys, tmp_path,
+                                                      seed, status, digest):
+        # a comment, a blank line and a clause split over two lines change
+        # nothing the reader hands to the solver
+        f, _ = pinned_formula(seed)
+        lines = [" ".join(map(str, c.to_ints())) + " 0" for c in f.clauses]
+        head, tail = lines[1].rsplit(" ", 2)[0], lines[1].split()[-2:]
+        lines[1:2] = [head, " ".join(tail)]
+        path = tmp_path / "pinned.cnf"
+        path.write_text(f"c pinned formula {seed}\n"
+                        f"p cnf {f.var_count} {len(f.clauses)}\n\n"
+                        + "\n".join(lines) + "\n")
+        code, out, _ = run(capsys, "sat", str(path))
+        doc = json.loads(out)
+        assert code == 0 and doc["status"] == status
+        if status == "sat":
+            model = [doc["model"][str(v)] for v in range(1, f.var_count + 1)]
+            assert hashlib.sha256(bytes(model)).hexdigest()[:16] == digest
+
+
 class TestVerify:
     def test_agree_on_satisfiable(self, capsys, cnf_file):
         code, out, err = run(capsys, "verify", cnf_file,
@@ -309,6 +332,8 @@ MALFORMED_DIMACS = {
     "not utf-8": b"p cnf 3 1\n\xff\xfe 0\n",
     "digit separator": b"p cnf 1_0 1\n1 2 3 0\n",
     "non-ascii digit": "p cnf 3 1\n\u0661 2 3 0\n".encode(),
+    # a line break of str.splitlines() but no DIMACS line end
+    "line separator": "p cnf 3 1\n1 2\u20283 0\n".encode(),
 }
 
 MALFORMED_DATASETS = {

@@ -1,11 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from seprat import cnf
 from seprat.cnf import (Clause, CnfFormula, DimacsError, EnumerationLimit,
                         FormulaError, brute_force_sat, evaluate, parse_dimacs,
-                        random_formula)
+                        random_formula, read_dimacs)
+from tests.conftest import token_by_token_dimacs
 
 
 def to_dimacs(f: CnfFormula) -> str:
@@ -56,6 +58,13 @@ class TestParse:
         ("p cnf 3 1\np cnf 3 1\n1 2 3 0\n", "duplicate header"),
         ("p cnf 1_0 1\n1 2 3 0\n", "line 1: non-ASCII character or '_'"),
         ("p cnf 3 1\n\u0661 2 3 0\n", "line 2: non-ASCII character or '_'"),
+        # only "\n" ends a line: other line breaks of str.splitlines()
+        # neither hide a non-ASCII character nor shift a line number
+        ("p cnf 3 1\n1 2\u20283 0\n", "line 2: non-ASCII character or '_'"),
+        ("p cnf 3 1\n1 2\x853 0\n", "line 2: non-ASCII character or '_'"),
+        ("p cnf 3 1\n1 2 3 0\u2028\n", "line 2: non-ASCII character or '_'"),
+        ("p cnf 3 1\n1 2\x0c3 4 0\n", "line 2: literal 4 out of range"),
+        ("p cnf 3 1\n1\x1c2\x1d3\x1e4 0\n", "line 2: literal 4 out of range"),
     ])
     def test_rejections(self, text, fragment):
         with pytest.raises(DimacsError, match=fragment):
@@ -65,6 +74,81 @@ class TestParse:
         with pytest.raises(DimacsError) as err:
             parse_dimacs("p cnf 3 1\nc fine\n1 1 2 0\n")
         assert err.value.line == 3
+
+    def test_crlf_line_endings(self):
+        f = parse_dimacs("c dos\r\np cnf 3 2\r\n1 -2 3 0\r\n-1 2\r\n3 0\r\n")
+        assert [c.to_ints() for c in f.clauses] == [(1, -2, 3), (-1, 2, 3)]
+        with pytest.raises(DimacsError, match="line 3: unterminated"):
+            parse_dimacs("p cnf 3 1\r\n1 2\r\n3\r\n")
+
+
+def read(fn, text):
+    """fn's clauses, or the message and line of the DimacsError it raises."""
+    try:
+        return fn(text)
+    except DimacsError as exc:
+        return str(exc), exc.line
+
+
+# lines near and off the dialect: headers, clause lines of every length,
+# repeated variables and out-of-range literals, tokens int() reads but the
+# dialect does not, other whitespace, comments and blank lines
+TOKENS = ["0", "1", "-1", "2", "-2", "3", "-3", "4", "+1", "03", "-0", "x",
+          "1_0", "\u0661", "c", "p", "99999999999999999999"]
+
+
+@st.composite
+def dimacs_texts(draw):
+    var_count = draw(st.integers(1, 4))
+    literal = st.integers(1, var_count + 1).flatmap(
+        lambda v: st.sampled_from((v, -v)))
+    clause = st.lists(literal, min_size=3, max_size=3,
+                      unique_by=abs).map(lambda c: c + [0])
+    repeating = st.lists(literal, min_size=3, max_size=3).map(
+        lambda c: c + [0])
+    other = st.lists(st.one_of(literal, st.just(0)), max_size=5)
+    body = draw(st.lists(st.one_of(
+        clause.map(lambda c: " ".join(map(str, c))),
+        clause.map(lambda c: f"{c[0]}\t{c[1]}  {c[2]} {c[3]} "),
+        # other whitespace, ASCII or not, between the tokens and at the end
+        st.tuples(clause, st.sampled_from(["\x0c", "\x1c", "\xa0", "\u2028"]))
+        .map(lambda t: t[1].join(map(str, t[0])) + t[1]),
+        repeating.map(lambda c: " ".join(map(str, c))),
+        other.map(lambda c: " ".join(map(str, c))),
+        st.lists(st.sampled_from(TOKENS), min_size=1, max_size=5).map(" ".join),
+        st.sampled_from(["", "  ", "c a comment \u00e9", "p cnf 3 1"])),
+        max_size=8))
+    zeros = sum(tok == "0" for line in body for tok in line.split())
+    declared = draw(st.one_of(st.just(zeros), st.integers(0, 4)))
+    header = draw(st.sampled_from(
+        [f"p cnf {var_count} {declared}"] * 8
+        + [f"p  cnf {var_count}\t{declared} ", f"p cnf 0 {declared}",
+           "p cnf 3", "p dnf 3 1", "p cnf x 1"]))
+    lines = [header] + body
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), "c header elsewhere")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+class TestReader:
+    @given(dimacs_texts())
+    def test_reads_as_token_by_token(self, text):
+        # a line that is one whole clause is converted in one step, any
+        # other line token by token; both give the oracle's clauses, and
+        # its message at its line
+        assert read(read_dimacs, text) == read(token_by_token_dimacs, text)
+
+    @given(dimacs_texts())
+    def test_parse_dimacs_reads_as_the_reader(self, text):
+        got = read(read_dimacs, text)
+        formula = read(parse_dimacs, text)
+        if isinstance(formula, CnfFormula):
+            var_count, clauses = got
+            assert formula.var_count == var_count
+            assert [c.to_ints() for c in formula.clauses] == clauses
+        else:
+            assert formula == got
 
 
 class TestModel:

@@ -8,6 +8,7 @@ import pytest
 from seprat import cnf, satcore
 from seprat.satcore import (BudgetExhausted, InstanceError, SatInstance,
                             Solver, solve)
+from tests.conftest import checked_clause, checked_instance
 
 
 def check_model(clauses, model):
@@ -153,6 +154,44 @@ class TestInstance:
     def test_clause_list_must_be_a_sequence(self):
         with pytest.raises(InstanceError):
             SatInstance(3, 7)
+
+    @pytest.mark.parametrize("clause", HOSTILE_CLAUSES, ids=repr)
+    def test_hostile_clause_names_the_first_fault(self, clause):
+        # after valid clauses, and before others with faults of their own,
+        # the bulk check names what the literal-by-literal oracle names
+        clauses = [[1, 2, 3], [-1, -1, 2], [3, -3], clause, [7], "x", [0]]
+        with pytest.raises(InstanceError) as oracle:
+            checked_instance(3, clauses)
+        with pytest.raises(InstanceError) as got:
+            SatInstance(3, clauses)
+        assert str(got.value) == str(oracle.value)
+        with pytest.raises(InstanceError) as got:
+            Solver(SatInstance(3, [[1, 2]])).add_clause(clause)
+        with pytest.raises(InstanceError) as oracle:
+            checked_clause(clause, 3)
+        assert str(got.value) == str(oracle.value)
+
+    def test_bulk_check_keeps_the_oracles_clauses_and_tautologies(self):
+        rng = random.Random(40)
+        seen = {"repeat": 0, "tautology": 0, "unused": 0, "not 3SAT": 0}
+        for _ in range(2000):
+            var_count = rng.randint(1, 6)
+            clauses = [
+                rng.choice((tuple, list))(
+                    rng.choice((1, -1)) * rng.randint(1, var_count)
+                    for _ in range(rng.choice((0, 1, 2, 3, 3, 3, 3, 4))))
+                for _ in range(rng.randint(0, 8))]
+            if rng.random() < 0.5:  # every clause three literals long
+                clauses = [cl for cl in clauses if len(cl) == 3]
+            inst = SatInstance(var_count, clauses)
+            assert (inst.clauses, inst.tautologies) == \
+                checked_instance(var_count, clauses)
+            seen["repeat"] += any(len(set(cl)) < len(cl) for cl in clauses)
+            seen["tautology"] += bool(inst.tautologies)
+            seen["unused"] += len({abs(q) for cl in clauses for q in cl}) \
+                < var_count
+            seen["not 3SAT"] += any(len(cl) != 3 for cl in clauses)
+        assert min(seen.values()) >= 300, seen
 
 
 class TestIncremental:
